@@ -48,10 +48,6 @@ from .lah_core import binomial, falling_factorial, g_eval, rising_factorial
 CONSTRUCTION_IDS = ("I_POS", "I_NEG", "II_EQ", "II_MID", "II_GT",
                     "III_EQ", "III_LT", "III_MID", "IV")
 
-Item = "tuple[int, ...] | int"
-Group = tuple
-
-
 class FixedPointError(Exception):
     """The involution was applied to a member of its fixed set."""
 
@@ -219,8 +215,10 @@ def _require_params(construction_id: str, n: int, k: int, r: int, s: int) -> Non
             f"{construction_id} does not apply at n={n} k={k} r={r} s={s}")
 
 
-def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int) -> Iterator[SignedPair]:
-    """Enumerate the signed pair family of one construction."""
+def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
+               cap: int | None = None) -> Iterator[SignedPair]:
+    """Enumerate the signed pair family of one construction; the inner
+    distributions of n+r labels are subject to the enumeration cap."""
     _require_params(construction_id, n, k, r, s)
     inner_mode, outer_kind, selection, special_rule, sign_kind = _FAMILY[construction_id]
     specials = {"none": 0, "s-r": s - r, "s": s}[special_rule]
@@ -233,7 +231,7 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int) -> Iterator
             sign = -1 if (n - j) % 2 else 1
         else:
             sign = 1
-        for inner in enumerate_distributions(n, j, r, inner_mode):
+        for inner in enumerate_distributions(n, j, r, inner_mode, cap):
             if selection == "all":
                 kept = inner.blocks
             elif selection == "skip_mid":
@@ -244,30 +242,6 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int) -> Iterator
             for groups in iter_arrangements(len(items) - s, s, k, outer_mode):
                 outer = tuple(tuple(items[idx] for idx in grp) for grp in groups)
                 yield SignedPair(OuterArrangement(inner, specials, outer, outer_kind), sign)
-
-
-def pairs_i(n: int, k: int, r: int, s: int) -> Iterator[SignedPair]:
-    return iter_pairs("I_POS" if r >= s else "I_NEG", n, k, r, s)
-
-
-def pairs_ii(n: int, k: int, r: int, s: int) -> Iterator[SignedPair]:
-    if r == s:
-        return iter_pairs("II_EQ", n, k, r, s)
-    if r < s:
-        return iter_pairs("II_MID", n, k, r, s)
-    return iter_pairs("II_GT", n, k, r, s)
-
-
-def pairs_iii(n: int, k: int, r: int, s: int) -> Iterator[SignedPair]:
-    if r == s:
-        return iter_pairs("III_EQ", n, k, r, s)
-    if r < s:
-        return iter_pairs("III_LT", n, k, r, s)
-    return iter_pairs("III_MID", n, k, r, s)
-
-
-def pairs_iv(n: int, k: int, r: int, s: int) -> Iterator[SignedPair]:
-    return iter_pairs("IV", n, k, r, s)
 
 
 # ----------------------------------------------------------------------
@@ -543,11 +517,6 @@ def _is_fixed_iii(cfg: OuterArrangement) -> bool:
 _FIXED = {"I": _is_fixed_i, "II": _is_fixed_ii, "III": _is_fixed_iii}
 
 
-def fixed_i(n: int, k: int, r: int, s: int) -> int:
-    """Count fixed points of construction I by direct predicate test."""
-    return sum(1 for p in pairs_i(n, k, r, s) if _is_fixed_i(p.config))
-
-
 def closed_form(construction_id: str, n: int, k: int, r: int, s: int) -> int:
     """Predicted survivor count (equivalently, the identity's closed side)."""
     _require_params(construction_id, n, k, r, s)
@@ -786,8 +755,8 @@ def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
 
 
 def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
-                        on_apply: Callable[[OuterArrangement, object], None] | None = None
-                        ) -> InvolutionReport:
+                        on_apply: Callable[[OuterArrangement, object], None] | None = None,
+                        cap: int | None = None) -> InvolutionReport:
     """Enumerate one construction, exercise its map, and check every claim.
 
     For the involutions: double application is the identity off the fixed
@@ -804,7 +773,7 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         round_trips = True
         injective = True
         images: set[tuple] = set()
-        for pair in pairs_iv(n, k, r, s):
+        for pair in iter_pairs(construction_id, n, k, r, s, cap):
             total += 1
             image = map_iv(pair.config)
             if image.k != k or image.r != (r + s) // 2:
@@ -828,7 +797,7 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     total = fixed = signed = 0
     involutive = True
     sign_reversing = True
-    for pair in iter_pairs(construction_id, n, k, r, s):
+    for pair in iter_pairs(construction_id, n, k, r, s, cap):
         total += 1
         signed += pair.sign
         if predicate(pair.config):

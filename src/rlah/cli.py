@@ -2,31 +2,62 @@
 construction verification, and integer-sequence cross-checks.
 
 Exit codes are a stable contract for CI: 0 all-pass, 1 verification
-failure, 2 usage error, 3 enumeration cap exceeded.
+failure, 2 usage error, 3 enumeration cap exceeded.  Caps are checked
+before any enumeration starts, and a command that exits 2 or 3 prints
+nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from itertools import product
+from itertools import chain, product
+from typing import Iterable, NamedTuple
 
 from . import bijections, identities
-from .distributions import DEFAULT_CAP, SizeLimitError, oracle_row
-from .lah_core import g_poly, row_sum_poly
+from .distributions import DEFAULT_CAP, SizeLimitError, check_cap, oracle_row
+from .lah_core import binomial, g_poly, row_sum_poly
+from .poly import ZERO
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-# OEIS A000110 (Bell numbers) -- literal fixture, never fetched.
-BELL_PREFIX = (1, 1, 2, 5, 15, 52, 203, 877)
-# OEIS A000262 (sets of lists) -- literal fixture, never fetched.
-A000262_PREFIX = (1, 1, 3, 13, 73, 501, 4051)
+
+class Output(NamedTuple):
+    """What a command prints.  ``rows`` are objects keyed by ``header``
+    (csv writes the header's columns, json the whole objects) unless a
+    ``payload`` gives the json document; ``lines`` are the text format.
+    Rows and lines may be lazy: only the chosen format is ever built."""
+
+    code: int
+    header: tuple[str, ...] = ()
+    rows: Iterable[dict] = ()
+    lines: Iterable[str] = ()
+    payload: object = None
+
+
+def _emit(fmt: str, out: Output) -> None:
+    if fmt == "json":
+        document = list(out.rows) if out.payload is None else out.payload
+        # sort_keys plus default separators keep load/dump round trips byte-identical
+        print(json.dumps(document, sort_keys=True))
+    elif fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, out.header, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(out.rows)
+    else:
+        for line in out.lines:
+            print(line)
+
+
+def _refuse(command: str, code: int, message) -> Output:
+    print(f"{command}: {message}", file=sys.stderr)
+    return Output(code)
 
 
 def _parse_span(text: str) -> tuple[int, ...]:
@@ -41,25 +72,9 @@ def _parse_span(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected N or LO..HI")
 
 
-def _emit_json(payload) -> None:
-    # sort_keys plus default separators keep load/dump round trips byte-identical
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _emit_csv(header, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--cap-override", type=int, default=None, metavar="N",
-                        help=f"raise the enumeration cap (default {DEFAULT_CAP})")
-    common.add_argument("--jobs", type=int, default=1, metavar="N")
 
     parser = argparse.ArgumentParser(prog="rlah",
                                      description="exact generalized r-Lah toolkit")
@@ -76,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated identity ids, or 'all'")
     for flag in ("--n", "--k", "--m", "--r", "--s"):
         p_check.add_argument(flag, type=_parse_span, default=(0,), metavar="LO..HI")
+    p_check.add_argument("--jobs", type=int, default=1, metavar="N")
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="compare the triangles to brute-force enumeration")
@@ -90,8 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--trace", action="store_true",
                        help="print before/after text for each map application")
 
+    for enumerating in (p_oracle, p_con):
+        enumerating.add_argument("--cap-override", type=int, default=None, metavar="N",
+                                 help=f"raise the enumeration cap (default {DEFAULT_CAP})")
+
     p_seq = sub.add_parser("sequences", parents=[common],
-                           help="row-sum specializations vs embedded fixtures")
+                           help="row-sum specializations vs integer recurrences")
     p_seq.add_argument("which", choices=("bell", "a000262", "r_bell"))
     p_seq.add_argument("--n", type=int, required=True, help="largest index (<= 12)")
     p_seq.add_argument("--r", type=int, default=0)
@@ -103,32 +123,25 @@ def build_parser() -> argparse.ArgumentParser:
 # table
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Output:
     if args.n < 0 or args.r < 0:
-        print("table: need --n and --r nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    bindings = {}
-    if args.a is not None:
-        bindings["a"] = args.a
-    if args.b is not None:
-        bindings["b"] = args.b
-    numeric = {"a", "b"} <= set(bindings)
-    cells = []
-    for n in range(args.n + 1):
+        return _refuse("table", EXIT_USAGE, "need --n and --r nonnegative")
+    bindings = {name: value for name, value in (("a", args.a), ("b", args.b))
+                if value is not None}
+    numeric = len(bindings) == 2
+
+    def row(n):
         for k in range(n + 1):
             value = g_poly(n, k, args.r)
             if bindings:
                 value = value.eval(**bindings)
-            cells.append((n, k, value.as_int() if numeric else str(value)))
-    if args.format == "json":
-        _emit_json([{"n": n, "k": k, "value": v} for n, k, v in cells])
-    elif args.format == "csv":
-        _emit_csv(("n", "k", "value"), cells)
-    else:
-        for n in range(args.n + 1):
-            row = [str(v) for nn, _, v in cells if nn == n]
-            print(" ".join(row) if numeric else " | ".join(row))
-    return EXIT_OK
+            yield value.as_int() if numeric else str(value)
+
+    rows = ({"n": n, "k": k, "value": value}
+            for n in range(args.n + 1) for k, value in enumerate(row(n)))
+    separator = " " if numeric else " | "
+    lines = (separator.join(str(value) for value in row(n)) for n in range(args.n + 1))
+    return Output(EXIT_OK, ("n", "k", "value"), rows, lines)
 
 
 # ----------------------------------------------------------------------
@@ -147,173 +160,150 @@ def _identity_ids(text: str) -> list[str] | None:
     return ids
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Output:
     ids = _identity_ids(args.id)
     if ids is None:
-        print(f"check: unknown identity id in {args.id!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
     reports, skipped = identities.sweep_detailed(
         ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s, seeds=args.s,
         jobs=args.jobs)
-    failed = [rep for rep in reports if not rep.passed]
-    if args.format == "json":
-        payload = []
+
+    def rows():
         for rep in reports:
-            entry = {"identity": rep.identity_id, "status": "PASS" if rep.passed else "FAIL"}
-            entry.update(dict(zip(("n", "k", "m", "r", "s"), rep.params)))
+            row = {"identity": rep.identity_id, **dict(zip(identities.SLOTS, rep.params)),
+                   "status": "PASS" if rep.passed else "FAIL"}
             if not rep.passed:
-                entry["lhs"] = str(rep.lhs)
-                entry["rhs"] = str(rep.rhs)
-            payload.append(entry)
+                row.update(lhs=str(rep.lhs), rhs=str(rep.rhs))
+            yield row
         for ident, params in skipped:
-            entry = {"identity": ident, "status": "SKIP"}
-            entry.update(dict(zip(("n", "k", "m", "r", "s"), params)))
-            payload.append(entry)
-        _emit_json(payload)
-    elif args.format == "csv":
-        rows = [(rep.identity_id,) + tuple("" if v is None else v for v in rep.params)
-                + ("PASS" if rep.passed else "FAIL",) for rep in reports]
-        rows += [(ident,) + tuple("" if v is None else v for v in params) + ("SKIP",)
-                 for ident, params in skipped]
-        _emit_csv(("identity", "n", "k", "m", "r", "s", "status"), rows)
-    else:
+            yield {"identity": ident, **dict(zip(identities.SLOTS, params)), "status": "SKIP"}
+
+    def lines():
         for rep in reports:
-            print(rep.line())
+            yield rep.line()
             if not rep.passed:
-                print(f"  lhs: {rep.lhs}")
-                print(f"  rhs: {rep.rhs}")
+                yield f"  lhs: {rep.lhs}"
+                yield f"  rhs: {rep.rhs}"
         for ident, params in skipped:
-            pieces = [f"{name}={value}" for name, value in zip(("n", "k", "m", "r", "s"), params)
-                      if value is not None]
-            print(f"{ident} {' '.join(pieces)} SKIP")
-    return EXIT_FAIL if failed else EXIT_OK
+            yield f"{ident} {identities.format_params(params)} SKIP"
+
+    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_FAIL
+    return Output(code, ("identity", *identities.SLOTS, "status"), rows(), lines())
 
 
 # ----------------------------------------------------------------------
 # oracle
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Output:
     if args.n < 0 or args.r < 0:
-        print("oracle: need --n and --r nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse("oracle", EXIT_USAGE, "need --n and --r nonnegative")
+    try:
+        check_cap(args.n, args.r, args.cap_override)
+    except SizeLimitError as exc:
+        return _refuse("oracle", EXIT_CAP, exc)
     cells = 0
     mismatches = []
-    try:
-        for r in range(args.r + 1):
-            for n in range(args.n + 1):
-                row = oracle_row(n, r, cap=args.cap_override)
-                for k in range(n + 1):
-                    expected = row.get(k, g_poly(0, 1, 0))  # zero polynomial default
-                    actual = g_poly(n, k, r)
-                    cells += 1
-                    if expected != actual:
-                        mismatches.append((n, k, r, str(expected), str(actual)))
-    except SizeLimitError as exc:
-        print(f"oracle: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    for r in range(args.r + 1):
+        for n in range(args.n + 1):
+            row = oracle_row(n, r, cap=args.cap_override)
+            for k in range(n + 1):
+                expected = row.get(k, ZERO)
+                actual = g_poly(n, k, r)
+                cells += 1
+                if expected != actual:
+                    mismatches.append((n, k, r, str(expected), str(actual)))
     status = "PASS" if not mismatches else "FAIL"
-    if args.format == "json":
-        _emit_json({"cells": cells, "mismatches": [list(m) for m in mismatches],
-                    "status": status})
-    elif args.format == "csv":
-        _emit_csv(("cells", "mismatches", "status"), [(cells, len(mismatches), status)])
-    else:
-        for n, k, r, expected, actual in mismatches:
-            print(f"MISMATCH n={n} k={k} r={r} oracle={expected} triangle={actual}")
-        print(f"cells={cells} {status}")
-    return EXIT_OK if not mismatches else EXIT_FAIL
+    lines = chain((f"MISMATCH n={n} k={k} r={r} oracle={expected} triangle={actual}"
+                   for n, k, r, expected, actual in mismatches), [f"cells={cells} {status}"])
+    return Output(EXIT_OK if not mismatches else EXIT_FAIL,
+                  ("cells", "mismatches", "status"),
+                  [{"cells": cells, "mismatches": len(mismatches), "status": status}], lines,
+                  {"cells": cells, "mismatches": [list(m) for m in mismatches],
+                   "status": status})
 
 
 # ----------------------------------------------------------------------
 # constructions
 
 
-def cmd_constructions(args) -> int:
+def cmd_constructions(args) -> Output:
     if args.id == "all":
         ids = list(bijections.CONSTRUCTION_IDS)
     else:
         ids = [piece.strip().upper() for piece in args.id.split(",")]
         bad = [i for i in ids if i not in bijections.CONSTRUCTION_IDS]
         if bad:
-            print(f"constructions: unknown id(s) {bad}", file=sys.stderr)
-            return EXIT_USAGE
+            return _refuse("constructions", EXIT_USAGE, f"unknown id(s) {bad}")
+    selected = [(cid, n, k, r, s) for cid in ids
+                for n, k, r, s in product(args.n, args.k, args.r, args.s)
+                if bijections.construction_applies(cid, n, k, r, s)]
+    try:
+        for _, n, _, r, _ in selected:
+            # each pair family enumerates inner distributions of n+r labels
+            check_cap(n, r, args.cap_override)
+    except SizeLimitError as exc:
+        return _refuse("constructions", EXIT_CAP, exc)
     trace_lines: list[str] = []
 
     def on_apply(before, after):
-        after_text = after.text()
-        trace_lines.append(f"  {before.text()}  ->  {after_text}")
+        trace_lines.append(f"  {before.text()}  ->  {after.text()}")
 
     reports = []
-    for cid in ids:
-        for n, k, r, s in product(args.n, args.k, args.r, args.s):
-            if not bijections.construction_applies(cid, n, k, r, s):
-                continue
-            trace_lines.clear()
-            report = bijections.verify_construction(
-                cid, n, k, r, s, on_apply=on_apply if args.trace else None)
-            reports.append((report, tuple(trace_lines)))
-    failed = [rep for rep, _ in reports if not rep.passed]
-    if args.format == "json":
-        payload = []
-        for rep, _ in reports:
-            payload.append({
-                "construction": rep.construction_id,
-                "n": rep.params[0], "k": rep.params[1],
-                "r": rep.params[2], "s": rep.params[3],
-                "pairs": rep.total_pairs, "fixed": rep.fixed_points,
-                "signed": rep.signed_sum, "target": rep.closed_form,
-                "status": "PASS" if rep.passed else "FAIL",
-            })
-        _emit_json(payload)
-    elif args.format == "csv":
-        rows = [(rep.construction_id, *rep.params, rep.total_pairs, rep.fixed_points,
-                 rep.signed_sum, rep.closed_form, "PASS" if rep.passed else "FAIL")
-                for rep, _ in reports]
-        _emit_csv(("construction", "n", "k", "r", "s", "pairs", "fixed", "signed",
-                   "target", "status"), rows)
-    else:
-        for rep, lines in reports:
-            for line in lines:
-                print(line)
-            print(rep.line())
-    return EXIT_FAIL if failed else EXIT_OK
+    for cid, n, k, r, s in selected:
+        trace_lines.clear()
+        report = bijections.verify_construction(
+            cid, n, k, r, s, on_apply=on_apply if args.trace else None, cap=args.cap_override)
+        reports.append((report, tuple(trace_lines)))
+    header = ("construction", "n", "k", "r", "s", "pairs", "fixed", "signed", "target",
+              "status")
+    rows = (dict(zip(header, (rep.construction_id, *rep.params, rep.total_pairs,
+                              rep.fixed_points, rep.signed_sum, rep.closed_form,
+                              "PASS" if rep.passed else "FAIL")))
+            for rep, _ in reports)
+    lines = (line for rep, trace in reports for line in (*trace, rep.line()))
+    code = EXIT_OK if all(rep.passed for rep, _ in reports) else EXIT_FAIL
+    return Output(code, header, rows, lines)
 
 
 # ----------------------------------------------------------------------
 # sequences
 
 
-def cmd_sequences(args) -> int:
+def _reference(which: str, n_max: int, r: int) -> list[int]:
+    """The sequence from an integer recurrence that never reads the triangles."""
+    if which == "a000262":
+        seq = [1, 1]
+        for n in range(2, n_max + 1):
+            seq.append((2 * n - 1) * seq[-1] - (n - 1) * (n - 2) * seq[-2])
+        return seq[:n_max + 1]
+    bell, row = [1], [1]
+    for _ in range(n_max):  # Bell triangle: each row starts with the last entry above
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row = nxt
+        bell.append(row[0])
+    if which == "bell":
+        return bell
+    # r-Bell numbers (Mezo, J. Integer Seq. 2011): B_{n,r} = sum_i C(n,i) B_i r^(n-i)
+    return [sum(binomial(n, i) * bell[i] * r ** (n - i) for i in range(n + 1))
+            for n in range(n_max + 1)]
+
+
+def cmd_sequences(args) -> Output:
     if args.n < 0 or args.n > 12:
-        print("sequences: --n must be between 0 and 12", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse("sequences", EXIT_USAGE, "--n must be between 0 and 12")
     if args.r < 0:
-        print("sequences: --r must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if args.which == "bell":
-        values = [row_sum_poly(n, 0).eval(a=0, b=1).as_int() for n in range(args.n + 1)]
-        fixture = BELL_PREFIX
-    elif args.which == "a000262":
-        values = [row_sum_poly(n, 0).eval(a=1, b=1).as_int() for n in range(args.n + 1)]
-        fixture = A000262_PREFIX
-    else:
-        values = [row_sum_poly(n, args.r).eval(a=0, b=1).as_int() for n in range(args.n + 1)]
-        fixture = None
-    status = "PASS"
-    if fixture is not None:
-        overlap = min(len(values), len(fixture))
-        if values[:overlap] != list(fixture[:overlap]):
-            status = "FAIL"
-    if args.format == "json":
-        _emit_json({"status": status, "values": values, "which": args.which})
-    elif args.format == "csv":
-        _emit_csv(("n", "value"), list(enumerate(values)))
-    else:
-        for n, value in enumerate(values):
-            print(f"{n} {value}")
-        print(status)
-    return EXIT_OK if status == "PASS" else EXIT_FAIL
+        return _refuse("sequences", EXIT_USAGE, "--r must be nonnegative")
+    r = args.r if args.which == "r_bell" else 0
+    a_val = 1 if args.which == "a000262" else 0
+    values = [row_sum_poly(n, r).eval(a=a_val, b=1).as_int() for n in range(args.n + 1)]
+    status = "PASS" if values == _reference(args.which, args.n, r) else "FAIL"
+    return Output(EXIT_OK if status == "PASS" else EXIT_FAIL, ("n", "value"),
+                  ({"n": n, "value": value} for n, value in enumerate(values)),
+                  chain((f"{n} {value}" for n, value in enumerate(values)), [status]),
+                  {"status": status, "values": values, "which": args.which})
 
 
 _HANDLERS = {
@@ -331,7 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _HANDLERS[args.command](args)
+    out = _HANDLERS[args.command](args)
+    if out.code <= EXIT_FAIL:
+        _emit(args.format, out)
+    return out.code
 
 
 if __name__ == "__main__":

@@ -158,7 +158,8 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
     yield from extend((), 0)
 
 
-def _check_cap(n: int, r: int, cap: int | None) -> None:
+def check_cap(n: int, r: int, cap: int | None) -> None:
+    """Raise SizeLimitError when enumerating n+r labels exceeds the cap."""
     limit = DEFAULT_CAP if cap is None else cap
     if n + r > limit:
         raise SizeLimitError(
@@ -171,7 +172,7 @@ def enumerate_distributions(n: int, k: int, r: int, mode: str = "all",
     """Yield each distribution of 1..n+r with k non-distinguished blocks once."""
     if n < 0 or k < 0 or r < 0:
         raise ValueError("n, k, r must be nonnegative")
-    _check_cap(n, r, cap)
+    check_cap(n, r, cap)
     for groups in iter_arrangements(n, r, k, mode):
         blocks = tuple(tuple(rank + 1 for rank in group) for group in groups)
         yield LahDistribution(n=n, r=r, blocks=blocks)
@@ -191,7 +192,7 @@ def oracle_row(n: int, r: int, cap: int | None = None) -> dict[int, Polynomial]:
     """Weight sums for every k of one row, from a single enumeration pass."""
     if n < 0 or r < 0:
         raise ValueError("n, r must be nonnegative")
-    _check_cap(n, r, cap)
+    check_cap(n, r, cap)
     rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
     for groups in iter_arrangements(n, r, None, "all"):
         blocks = tuple(tuple(rank + 1 for rank in group) for group in groups)

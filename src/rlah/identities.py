@@ -3,59 +3,72 @@
 Every check expands both sides of one identity instance as canonical
 polynomials (or exact integers) and compares them structurally; there is
 no tolerance anywhere.  Checks raise :class:`InvalidParameters` when a
-stated precondition fails, and :func:`sweep` skips such tuples.
+stated precondition fails, and :func:`sweep` skips such tuples; both
+read the precondition from the one ``IDENTITIES`` table.
 
-A :class:`Checker` owns the triangle caches.  Its ``corrupt_cell`` hook
-adds a constant offset to a single cell at read time, which is how the
-fault-injection tests prove the suite actually exercises every cell.
-The swapped-weight, t-weighted and negated-t triangles used by the
-orthogonality checks are derived from the plain cells by variable
-substitution (a ring homomorphism commutes with the recurrence), so a
-corrupted cell poisons every derived reading consistently.
+Every check reads its cells from a :class:`Checker`, which is the
+triangle store of :mod:`rlah.lah_core`: the default store unless the
+caller passes one, for instance one with a corrupted cell.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
-from .lah_core import LahTriangle, binomial, falling_factorial, rising_factorial
-from .poly import A, B, ONE, T, X, ZERO, Polynomial, range_product
+from . import lah_core
+from .lah_core import TriangleStore as Checker
+from .lah_core import binomial, falling_factorial, rising_factorial
+from .poly import A, B, ONE, X, ZERO, Polynomial, range_product
 
-IDENTITY_IDS = (
-    "CONNECTION", "VERTICAL", "HORIZONTAL", "SHIFT", "CONVOLUTION", "SPLITTING",
-    "ROWSUM_SHIFT", "ROWSUM_SPLIT", "ROWSUM_DECOMP", "ROWSUM_REC", "MARKED_REC",
-    "RLAH_I", "RLAH_I_NEG", "RLAH_II", "RLAH_III", "RLAH_IV",
-    "ORTH", "TRIPLE", "INVERSION",
-)
+SLOTS = "nkmrs"
 
-#: Which of the (n, k, m, r, s) slots each identity uses.
-PARAM_FIELDS: dict[str, tuple[str, ...]] = {
-    "CONNECTION": ("n", "r"),
-    "VERTICAL": ("n", "k", "r"),
-    "HORIZONTAL": ("n", "k", "r"),
-    "SHIFT": ("n", "k", "r", "s"),
-    "CONVOLUTION": ("n", "k", "m", "r", "s"),
-    "SPLITTING": ("n", "k", "m", "r"),
-    "ROWSUM_SHIFT": ("n", "r", "s"),
-    "ROWSUM_SPLIT": ("n", "m", "r"),
-    "ROWSUM_DECOMP": ("n", "r"),
-    "ROWSUM_REC": ("n", "r"),
-    "MARKED_REC": ("n", "r"),
-    "RLAH_I": ("n", "k", "r", "s"),
-    "RLAH_I_NEG": ("n", "k", "r", "s"),
-    "RLAH_II": ("n", "k", "r", "s"),
-    "RLAH_III": ("n", "k", "r", "s"),
-    "RLAH_IV": ("n", "k", "r", "s"),
-    "ORTH": ("n", "k", "r"),
-    "TRIPLE": ("n", "k", "r"),
-    # the s slot of an INVERSION report carries the PRNG seed
-    "INVERSION": ("n", "r", "s"),
+
+def _nonnegative(*values: int) -> bool:
+    return min(values) >= 0
+
+
+def _cell(n: int, k: int, *rest: int) -> bool:
+    """(n, k) lies in the triangle and every further argument is nonnegative."""
+    return 0 <= k <= n and _nonnegative(*rest)
+
+
+#: One entry per identity: the (n, k, m, r, s) slots its check takes, in
+#: the check's argument order; the precondition over those arguments; and
+#: the name of the check_* function.  A check validates its arguments
+#: against its entry, and the sweep skips the tuples the precondition
+#: rejects.  The sweep looks the function up by name at call time, so a
+#: replaced module global is what runs.
+IDENTITIES: dict[str, tuple[str, Callable[..., bool], str]] = {
+    "CONNECTION": ("nr", _nonnegative, "check_connection"),
+    "VERTICAL": ("nkr", lambda n, k, r: 1 <= k <= n and r >= 0, "check_vertical"),
+    "HORIZONTAL": ("nkr", lambda n, k, r: 0 <= k < n and r >= 0, "check_horizontal"),
+    "SHIFT": ("nkrs", _cell, "check_shift"),
+    "CONVOLUTION": ("nkmrs", lambda n, k, m, r, s: 0 <= k <= n - m and _nonnegative(m, r, s),
+                    "check_convolution"),
+    "SPLITTING": ("nmkr", _nonnegative, "check_splitting"),
+    "ROWSUM_SHIFT": ("nrs", _nonnegative, "check_rowsum_shift"),
+    "ROWSUM_SPLIT": ("nmr", _nonnegative, "check_rowsum_split"),
+    "ROWSUM_DECOMP": ("nr", _nonnegative, "check_rowsum_decomp"),
+    "ROWSUM_REC": ("nr", _nonnegative, "check_rowsum_rec"),
+    "MARKED_REC": ("nr", _nonnegative, "check_marked_rec"),
+    "RLAH_I": ("nkrs", lambda n, k, r, s: _cell(n, k, r, s) and r >= s, "check_rlah_i"),
+    "RLAH_I_NEG": ("nkrs", lambda n, k, r, s: _cell(n, k, r, s) and r < s, "check_rlah_i"),
+    "RLAH_II": ("nkrs", lambda n, k, r, s: _cell(n, k, r, s) and 2 * r >= s, "check_rlah_ii"),
+    "RLAH_III": ("nkrs", lambda n, k, r, s: _cell(n, k, r, s) and 2 * s >= r,
+                 "check_rlah_iii"),
+    "RLAH_IV": ("nkrs", lambda n, k, r, s: _cell(n, k, r, s) and (r - s) % 2 == 0,
+                "check_rlah_iv"),
+    "ORTH": ("nkr", _cell, "check_orth"),
+    "TRIPLE": ("nkr", _cell, "check_triple"),
+    # the s slot of an INVERSION report carries the PRNG seed, which may be any integer
+    "INVERSION": ("nrs", lambda n, r, seed: _nonnegative(n, r), "check_inversion"),
 }
 
-_SLOTS = ("n", "k", "m", "r", "s")
+IDENTITY_IDS = tuple(IDENTITIES)
 
 #: (a, b) instantiations exercised by the sequence-inversion round trip.
 INVERSION_WEIGHTS = ((1, 1), (2, 3), (0, 1))
@@ -63,6 +76,12 @@ INVERSION_WEIGHTS = ((1, 1), (2, 3), (0, 1))
 
 class InvalidParameters(ValueError):
     """A check was invoked outside its stated parameter domain."""
+
+
+def format_params(params) -> str:
+    """``n=.. k=..`` for the slots a report or skipped tuple uses."""
+    return " ".join(f"{name}={value}" for name, value in zip(SLOTS, params)
+                    if value is not None)
 
 
 @dataclass(frozen=True)
@@ -75,20 +94,23 @@ class CheckReport:
     lhs: Polynomial | None = None
     rhs: Polynomial | None = None
 
-    def param_text(self) -> str:
-        used = PARAM_FIELDS[self.identity_id]
-        pieces = []
-        for name, value in zip(_SLOTS, self.params):
-            if name in used and value is not None:
-                pieces.append(f"{name}={value}")
-        return " ".join(pieces)
-
     def line(self) -> str:
-        return f"{self.identity_id} {self.param_text()} {'PASS' if self.passed else 'FAIL'}"
+        return (f"{self.identity_id} {format_params(self.params)} "
+                f"{'PASS' if self.passed else 'FAIL'}")
 
 
-def _params(n=None, k=None, m=None, r=None, s=None):
-    return (n, k, m, r, s)
+def _slots(fields: str, values) -> tuple:
+    named = dict(zip(fields, values))
+    return tuple(named.get(slot) for slot in SLOTS)
+
+
+def _params(identity_id: str, *values: int) -> tuple:
+    """The report params of one call, which must meet the identity's precondition."""
+    fields, precondition, _ = IDENTITIES[identity_id]
+    params = _slots(fields, values)
+    if not precondition(*values):
+        raise InvalidParameters(f"{identity_id} does not apply at {format_params(params)}")
+    return params
 
 
 def _report(identity_id: str, params, lhs: Polynomial, rhs: Polynomial) -> CheckReport:
@@ -97,76 +119,8 @@ def _report(identity_id: str, params, lhs: Polynomial, rhs: Polynomial) -> Check
                        None if passed else lhs, None if passed else rhs)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParameters(message)
-
-
-class Checker:
-    """Triangle caches plus the cell-corruption hook for fault injection."""
-
-    def __init__(self) -> None:
-        self._plain: dict[int, LahTriangle] = {}
-        self._offsets: dict[tuple[int, int, int], int] = {}
-        self._derived: dict[tuple[str, int, int, int], Polynomial] = {}
-
-    def corrupt_cell(self, r: int, n: int, k: int, delta: int = 1) -> None:
-        """Offset cell (n, k) of triangle r by delta at read time."""
-        key = (r, n, k)
-        self._offsets[key] = self._offsets.get(key, 0) + delta
-        self._derived.clear()
-
-    def g(self, n: int, k: int, r: int) -> Polynomial:
-        tri = self._plain.get(r)
-        if tri is None:
-            tri = self._plain[r] = LahTriangle(r)
-        cell = tri.poly(n, k)
-        delta = self._offsets.get((r, n, k))
-        if delta:
-            cell = cell + delta
-        return cell
-
-    def _derived_cell(self, kind: str, n: int, k: int, r: int,
-                      transform: Callable[[Polynomial], Polynomial]) -> Polynomial:
-        key = (kind, n, k, r)
-        cell = self._derived.get(key)
-        if cell is None:
-            cell = self._derived[key] = transform(self.g(n, k, r))
-        return cell
-
-    def g_swapped(self, n: int, k: int, r: int) -> Polynomial:
-        """Weights read in the order (b, a)."""
-        return self._derived_cell("ba", n, k, r, lambda p: p.swap_ab())
-
-    def g_second_t(self, n: int, k: int, r: int) -> Polynomial:
-        """Weights (a, t): the b slot carries the free variable t."""
-        return self._derived_cell("at", n, k, r, lambda p: p.substitute(b=T))
-
-    def g_neg_t(self, n: int, k: int, r: int) -> Polynomial:
-        """Weights (-t, b): the a slot carries -t, coefficients go signed."""
-        return self._derived_cell("nb", n, k, r, lambda p: p.substitute(a=-T))
-
-    def g_int(self, n: int, k: int, r: int, a_val: int, b_val: int) -> int:
-        return self.g(n, k, r).eval(a=a_val, b=b_val).as_int()
-
-    def row_sum(self, n: int, r: int) -> Polynomial:
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + self.g(n, k, r)
-        return acc
-
-    def row_sum_marked(self, n: int, r: int) -> Polynomial:
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + self.g(n, k, r) * X ** k
-        return acc
-
-
-DEFAULT = Checker()
-
-
-def _checker(checker: Checker | None) -> Checker:
-    return DEFAULT if checker is None else checker
+def _store(checker: Checker | None) -> Checker:
+    return lah_core.DEFAULT if checker is None else checker
 
 
 # ----------------------------------------------------------------------
@@ -175,66 +129,65 @@ def _checker(checker: Checker | None) -> Checker:
 
 def check_connection(n: int, r: int, checker: Checker | None = None) -> CheckReport:
     """prod_{i<n}(x + (a+b)r + a*i) expanded in the basis prod_{i<k}(x - b*i)."""
-    _require(n >= 0 and r >= 0, "need n, r >= 0")
-    c = _checker(checker)
+    params = _params("CONNECTION", n, r)
+    c = _store(checker)
     lhs = range_product(X + (A + B) * r, A, n)
     rhs = ZERO
     for k in range(n + 1):
         rhs = rhs + c.g(n, k, r) * range_product(X, -B, k)
-    return _report("CONNECTION", _params(n=n, r=r), lhs, rhs)
+    return _report("CONNECTION", params, lhs, rhs)
 
 
 def check_vertical(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
     """Column recurrence: condition on the smallest element of the right-most block."""
-    _require(1 <= k <= n and r >= 0, "need 1 <= k <= n")
-    c = _checker(checker)
+    params = _params("VERTICAL", n, k, r)
+    c = _store(checker)
     rhs = ZERO
     for i in range(k, n + 1):
         tail = range_product(A * i + B * k + (A + B) * r, A, n - i)
         rhs = rhs + c.g(i - 1, k - 1, r) * tail
-    return _report("VERTICAL", _params(n=n, k=k, r=r), c.g(n, k, r), rhs)
+    return _report("VERTICAL", params, c.g(n, k, r), rhs)
 
 
 def check_horizontal(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
     """Row recurrence: condition on the largest element not alone in a block."""
-    _require(0 <= k < n and r >= 0, "need 0 <= k < n")
-    c = _checker(checker)
+    params = _params("HORIZONTAL", n, k, r)
+    c = _store(checker)
     rhs = ZERO
     for i in range(k + 1):
         factor = A * (n + r - i - 1) + B * (k + r - i)
         rhs = rhs + factor * c.g(n - i - 1, k - i, r)
-    return _report("HORIZONTAL", _params(n=n, k=k, r=r), c.g(n, k, r), rhs)
+    return _report("HORIZONTAL", params, c.g(n, k, r), rhs)
 
 
 def check_shift(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Shift the distinguished count: G(n,k;r+s) as a binomial sum over G(.,k;r)."""
-    _require(0 <= k <= n and r >= 0 and s >= 0, "need 0 <= k <= n and r, s >= 0")
-    c = _checker(checker)
+    params = _params("SHIFT", n, k, r, s)
+    c = _store(checker)
     rhs = ZERO
     for i in range(k, n + 1):
         tail = range_product((A + B) * s, A, n - i)
         rhs = rhs + binomial(n, i) * c.g(i, k, r) * tail
-    return _report("SHIFT", _params(n=n, k=k, r=r, s=s), c.g(n, k, r + s), rhs)
+    return _report("SHIFT", params, c.g(n, k, r + s), rhs)
 
 
 def check_convolution(n: int, k: int, m: int, r: int, s: int,
                       checker: Checker | None = None) -> CheckReport:
     """C(k+m,k) G(n,k+m;r+s) as a Vandermonde-style convolution of two triangles."""
-    _require(m >= 0 and 0 <= k <= n - m and r >= 0 and s >= 0,
-             "need 0 <= k <= n - m and m, r, s >= 0")
-    c = _checker(checker)
+    params = _params("CONVOLUTION", n, k, m, r, s)
+    c = _store(checker)
     lhs = binomial(k + m, k) * c.g(n, k + m, r + s)
     rhs = ZERO
     for i in range(k, n - m + 1):
         rhs = rhs + binomial(n, i) * c.g(i, k, r) * c.g(n - i, m, s)
-    return _report("CONVOLUTION", _params(n=n, k=k, m=m, r=r, s=s), lhs, rhs)
+    return _report("CONVOLUTION", params, lhs, rhs)
 
 
 def check_splitting(n: int, m: int, k: int, r: int,
                     checker: Checker | None = None) -> CheckReport:
     """G(n+m,k;r) split by how many of the top n elements join the bottom m+r."""
-    _require(n >= 0 and m >= 0 and k >= 0 and r >= 0, "need n, m, k, r >= 0")
-    c = _checker(checker)
+    params = _params("SPLITTING", n, m, k, r)
+    c = _store(checker)
     rhs = ZERO
     for i in range(n + 1):
         for j in range(m + 1):
@@ -242,21 +195,21 @@ def check_splitting(n: int, m: int, k: int, r: int,
             if factor:
                 tail = range_product(A * (m + r) + B * (j + r), A, n - i)
                 rhs = rhs + factor * tail
-    return _report("SPLITTING", _params(n=n, k=k, m=m, r=r), c.g(n + m, k, r), rhs)
+    return _report("SPLITTING", params, c.g(n + m, k, r), rhs)
 
 
 def check_rowsum_shift(n: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
-    _require(n >= 0 and r >= 0 and s >= 0, "need n, r, s >= 0")
-    c = _checker(checker)
+    params = _params("ROWSUM_SHIFT", n, r, s)
+    c = _store(checker)
     rhs = ZERO
     for i in range(n + 1):
         rhs = rhs + binomial(n, i) * c.row_sum(i, r) * range_product((A + B) * s, A, n - i)
-    return _report("ROWSUM_SHIFT", _params(n=n, r=r, s=s), c.row_sum(n, r + s), rhs)
+    return _report("ROWSUM_SHIFT", params, c.row_sum(n, r + s), rhs)
 
 
 def check_rowsum_split(n: int, m: int, r: int, checker: Checker | None = None) -> CheckReport:
-    _require(n >= 0 and m >= 0 and r >= 0, "need n, m, r >= 0")
-    c = _checker(checker)
+    params = _params("ROWSUM_SPLIT", n, m, r)
+    c = _store(checker)
     rhs = ZERO
     for i in range(n + 1):
         for j in range(m + 1):
@@ -264,24 +217,24 @@ def check_rowsum_split(n: int, m: int, r: int, checker: Checker | None = None) -
             if factor:
                 tail = range_product(A * (m + r) + B * (j + r), A, n - i)
                 rhs = rhs + factor * tail
-    return _report("ROWSUM_SPLIT", _params(n=n, m=m, r=r), c.row_sum(n + m, r), rhs)
+    return _report("ROWSUM_SPLIT", params, c.row_sum(n + m, r), rhs)
 
 
 def check_rowsum_decomp(n: int, r: int, checker: Checker | None = None) -> CheckReport:
     """Row sum split by the number of elements living in distinguished blocks."""
-    _require(n >= 0 and r >= 0, "need n, r >= 0")
-    c = _checker(checker)
+    params = _params("ROWSUM_DECOMP", n, r)
+    c = _store(checker)
     rhs = ZERO
     for i in range(n + 1):
         rhs = rhs + binomial(n, i) * c.row_sum(n - i, 0) * range_product((A + B) * r, A, i)
-    return _report("ROWSUM_DECOMP", _params(n=n, r=r), c.row_sum(n, r), rhs)
+    return _report("ROWSUM_DECOMP", params, c.row_sum(n, r), rhs)
 
 
 def check_rowsum_rec(n: int, r: int, checker: Checker | None = None) -> CheckReport:
     """Row-sum recurrence by whether the new largest element joins a
     distinguished block; at r = 0 the first sum is empty."""
-    _require(n >= 0 and r >= 0, "need n, r >= 0")
-    c = _checker(checker)
+    params = _params("ROWSUM_REC", n, r)
+    c = _store(checker)
     rhs = ZERO
     if r >= 1:
         for i in range(n + 1):
@@ -289,13 +242,13 @@ def check_rowsum_rec(n: int, r: int, checker: Checker | None = None) -> CheckRep
                 * range_product(A + B, A, i + 1)
     for i in range(n + 1):
         rhs = rhs + binomial(n, i) * c.row_sum(n - i, r) * range_product(A + B, A, i)
-    return _report("ROWSUM_REC", _params(n=n, r=r), c.row_sum(n + 1, r), rhs)
+    return _report("ROWSUM_REC", params, c.row_sum(n + 1, r), rhs)
 
 
 def check_marked_rec(n: int, r: int, checker: Checker | None = None) -> CheckReport:
     """The row-sum recurrence with x marking non-distinguished blocks."""
-    _require(n >= 0 and r >= 0, "need n, r >= 0")
-    c = _checker(checker)
+    params = _params("MARKED_REC", n, r)
+    c = _store(checker)
     rhs = ZERO
     if r >= 1:
         for i in range(n + 1):
@@ -306,7 +259,7 @@ def check_marked_rec(n: int, r: int, checker: Checker | None = None) -> CheckRep
         second = second + binomial(n, i) * c.row_sum_marked(n - i, r) \
             * range_product(A + B, A, i)
     rhs = rhs + X * second
-    return _report("MARKED_REC", _params(n=n, r=r), c.row_sum_marked(n + 1, r), rhs)
+    return _report("MARKED_REC", params, c.row_sum_marked(n + 1, r), rhs)
 
 
 # ----------------------------------------------------------------------
@@ -315,60 +268,56 @@ def check_marked_rec(n: int, r: int, checker: Checker | None = None) -> CheckRep
 
 def check_rlah_i(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Alternating double-Lah sum against the rising/falling factorial form."""
-    _require(0 <= k <= n and r >= 0 and s >= 0, "need 0 <= k <= n and r, s >= 0")
-    c = _checker(checker)
+    ident = "RLAH_I" if r >= s else "RLAH_I_NEG"
+    params = _params(ident, n, k, r, s)
+    c = _store(checker)
     if r >= s:
         lhs = binomial(n, k) * rising_factorial(2 * (r - s), n - k)
         rhs = 0
         for j in range(k, n + 1):
             rhs += (-1) ** (j - k) * c.g_int(n, j, r, 1, 1) * c.g_int(j, k, s, 1, 1)
-        ident = "RLAH_I"
     else:
         lhs = binomial(n, k) * falling_factorial(2 * (s - r), n - k)
         rhs = 0
         for j in range(k, n + 1):
             rhs += (-1) ** (n - j) * c.g_int(n, j, r, 1, 1) * c.g_int(j, k, s, 1, 1)
-        ident = "RLAH_I_NEG"
-    return _report(ident, _params(n=n, k=k, r=r, s=s),
+    return _report(ident, params,
                    Polynomial.constant(lhs), Polynomial.constant(rhs))
 
 
 def check_rlah_ii(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Lah-by-cycle alternating sum collapsing to the 2r-s cycle numbers."""
-    _require(0 <= k <= n and r >= 0 and s >= 0, "need 0 <= k <= n and r, s >= 0")
-    _require(2 * r >= s, "need 2r >= s")
-    c = _checker(checker)
+    params = _params("RLAH_II", n, k, r, s)
+    c = _store(checker)
     lhs = c.g_int(n, k, 2 * r - s, 1, 0)
     rhs = 0
     for j in range(k, n + 1):
         rhs += (-1) ** (j - k) * c.g_int(n, j, r, 1, 1) * c.g_int(j, k, s, 1, 0)
-    return _report("RLAH_II", _params(n=n, k=k, r=r, s=s),
+    return _report("RLAH_II", params,
                    Polynomial.constant(lhs), Polynomial.constant(rhs))
 
 
 def check_rlah_iii(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Subset-by-Lah alternating sum collapsing to the 2s-r subset numbers."""
-    _require(0 <= k <= n and r >= 0 and s >= 0, "need 0 <= k <= n and r, s >= 0")
-    _require(2 * s >= r, "need 2s >= r")
-    c = _checker(checker)
+    params = _params("RLAH_III", n, k, r, s)
+    c = _store(checker)
     lhs = c.g_int(n, k, 2 * s - r, 0, 1)
     rhs = 0
     for j in range(k, n + 1):
         rhs += (-1) ** (n - j) * c.g_int(n, j, r, 0, 1) * c.g_int(j, k, s, 1, 1)
-    return _report("RLAH_III", _params(n=n, k=k, r=r, s=s),
+    return _report("RLAH_III", params,
                    Polynomial.constant(lhs), Polynomial.constant(rhs))
 
 
 def check_rlah_iv(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Cycle-subset convolution equal to the Lah numbers at the average level."""
-    _require(0 <= k <= n and r >= 0 and s >= 0, "need 0 <= k <= n and r, s >= 0")
-    _require((r - s) % 2 == 0, "need r and s of the same parity")
-    c = _checker(checker)
+    params = _params("RLAH_IV", n, k, r, s)
+    c = _store(checker)
     lhs = c.g_int(n, k, (r + s) // 2, 1, 1)
     rhs = 0
     for j in range(k, n + 1):
         rhs += c.g_int(n, j, r, 1, 0) * c.g_int(j, k, s, 0, 1)
-    return _report("RLAH_IV", _params(n=n, k=k, r=r, s=s),
+    return _report("RLAH_IV", params,
                    Polynomial.constant(lhs), Polynomial.constant(rhs))
 
 
@@ -379,23 +328,23 @@ def check_rlah_iv(n: int, k: int, r: int, s: int, checker: Checker | None = None
 def check_orth(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
     """Alternating product with the second factor read in swapped weight
     order (b, a) telescopes to the Kronecker delta."""
-    _require(0 <= k <= n and r >= 0, "need 0 <= k <= n and r >= 0")
-    c = _checker(checker)
+    params = _params("ORTH", n, k, r)
+    c = _store(checker)
     lhs = ONE if n == k else ZERO
     rhs = ZERO
     for j in range(k, n + 1):
         rhs = rhs + (-1) ** (j - k) * c.g(n, j, r) * c.g_swapped(j, k, r)
-    return _report("ORTH", _params(n=n, k=k, r=r), lhs, rhs)
+    return _report("ORTH", params, lhs, rhs)
 
 
 def check_triple(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
     """Factoring through a free parameter t: G_{a,t} convolved with G_{-t,b}."""
-    _require(0 <= k <= n and r >= 0, "need 0 <= k <= n and r >= 0")
-    c = _checker(checker)
+    params = _params("TRIPLE", n, k, r)
+    c = _store(checker)
     rhs = ZERO
     for j in range(k, n + 1):
         rhs = rhs + c.g_second_t(n, j, r) * c.g_neg_t(j, k, r)
-    return _report("TRIPLE", _params(n=n, k=k, r=r), c.g(n, k, r), rhs)
+    return _report("TRIPLE", params, c.g(n, k, r), rhs)
 
 
 def check_inversion(n_max: int, r: int, seed: int,
@@ -406,11 +355,10 @@ def check_inversion(n_max: int, r: int, seed: int,
     recovered through the alternating swapped-weight triangle; both
     directions are checked at each weight pair in INVERSION_WEIGHTS.
     """
-    _require(n_max >= 0 and r >= 0, "need n_max, r >= 0")
-    c = _checker(checker)
+    params = _params("INVERSION", n_max, r, seed)
+    c = _store(checker)
     rng = random.Random(seed)
     seq = [rng.randint(-99, 99) for _ in range(n_max + 1)]
-    params = _params(n=n_max, r=r, s=seed)
     for a_val, b_val in INVERSION_WEIGHTS:
         forward = [[c.g_int(n, k, r, a_val, b_val) for k in range(n + 1)]
                    for n in range(n_max + 1)]
@@ -436,104 +384,14 @@ def check_inversion(n_max: int, r: int, seed: int,
 # ----------------------------------------------------------------------
 # sweeping
 
-_CHECK_FUNCS: dict[str, Callable[..., CheckReport]] = {
-    "CONNECTION": check_connection,
-    "VERTICAL": check_vertical,
-    "HORIZONTAL": check_horizontal,
-    "SHIFT": check_shift,
-    "CONVOLUTION": check_convolution,
-    "SPLITTING": lambda n, k, m, r, checker=None: check_splitting(n, m, k, r, checker),
-    "ROWSUM_SHIFT": check_rowsum_shift,
-    "ROWSUM_SPLIT": lambda n, m, r, checker=None: check_rowsum_split(n, m, r, checker),
-    "ROWSUM_DECOMP": check_rowsum_decomp,
-    "ROWSUM_REC": check_rowsum_rec,
-    "MARKED_REC": check_marked_rec,
-    "RLAH_I": check_rlah_i,
-    "RLAH_I_NEG": check_rlah_i,
-    "RLAH_II": check_rlah_ii,
-    "RLAH_III": check_rlah_iii,
-    "RLAH_IV": check_rlah_iv,
-    "ORTH": check_orth,
-    "TRIPLE": check_triple,
-    "INVERSION": check_inversion,
-}
+
+def _run(task: tuple[str, tuple], checker: Checker | None = None) -> CheckReport:
+    check, values = task
+    return globals()[check](*values, checker=checker)
 
 
-def applies(identity_id: str, n=0, k=0, m=0, r=0, s=0) -> bool:
-    """Whether a parameter tuple satisfies the identity's precondition."""
-    if min(v for v in (n, k, m, r, s) if v is not None) < 0:
-        return False
-    if identity_id == "VERTICAL":
-        return 1 <= k <= n
-    if identity_id == "HORIZONTAL":
-        return 0 <= k < n
-    if identity_id == "SHIFT":
-        return k <= n
-    if identity_id == "CONVOLUTION":
-        return 0 <= k <= n - m
-    if identity_id == "RLAH_I":
-        return k <= n and r >= s
-    if identity_id == "RLAH_I_NEG":
-        return k <= n and r < s
-    if identity_id == "RLAH_II":
-        return k <= n and 2 * r >= s
-    if identity_id == "RLAH_III":
-        return k <= n and 2 * s >= r
-    if identity_id == "RLAH_IV":
-        return k <= n and (r - s) % 2 == 0
-    if identity_id in ("ORTH", "TRIPLE"):
-        return k <= n
-    return True
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    identity_id: str
-    kwargs: dict = field(hash=False)
-
-
-def _plan(ids: Sequence[str], n: Iterable[int], k: Iterable[int], m: Iterable[int],
-          r: Iterable[int], s: Iterable[int], seeds: Iterable[int]):
-    """Expand the Cartesian ranges into (runnable, skipped) call plans."""
-    runnable: list[tuple[str, dict]] = []
-    skipped: list[tuple[str, tuple]] = []
-    for ident in ids:
-        fields = PARAM_FIELDS[ident]
-        ranges = []
-        for name in fields:
-            if ident == "INVERSION" and name == "s":
-                ranges.append(("seed", list(seeds)))
-            else:
-                ranges.append((name, list({"n": n, "k": k, "m": m, "r": r, "s": s}[name])))
-
-        def expand(prefix: dict, remaining):
-            if not remaining:
-                named = dict(prefix)
-                seed = named.pop("seed", None)
-                if applies(ident, **{sl: named.get(sl) for sl in _SLOTS if sl in named}):
-                    kwargs = dict(named)
-                    if ident == "INVERSION":
-                        kwargs = {"n_max": named["n"], "r": named["r"], "seed": seed}
-                    runnable.append((ident, kwargs))
-                else:
-                    skipped.append((ident, _params(**{sl: named.get(sl) for sl in _SLOTS
-                                                      if sl in named})))
-                return
-            name, values = remaining[0]
-            for value in values:
-                expand({**prefix, name: value}, remaining[1:])
-
-        expand({}, ranges)
-    return runnable, skipped
-
-
-def _run_task(task: tuple[str, dict]) -> CheckReport:
-    ident, kwargs = task
-    return _CHECK_FUNCS[ident](**kwargs)
-
-
-def _sort_key(report: CheckReport):
-    return (report.identity_id, tuple(-1 if v is None else v for v in report.params))
+def _order(identity_id: str, params) -> tuple:
+    return (identity_id, tuple(-1 if v is None else v for v in params))
 
 
 def sweep(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
@@ -554,22 +412,33 @@ def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
 
     Returns (reports, skipped) where skipped lists the precondition-violating
     tuples as (identity_id, params).  Reports come back in canonical
-    (identity_id, params) order regardless of execution order.
+    (identity_id, params) order regardless of execution order.  INVERSION
+    draws its s slot from ``seeds``.
     """
     if ids is None:
         ids = IDENTITY_IDS
-    unknown = [i for i in ids if i not in _CHECK_FUNCS]
+    unknown = [i for i in ids if i not in IDENTITIES]
     if unknown:
         raise InvalidParameters(f"unknown identity ids: {unknown}")
-    runnable, skipped = _plan(ids, n, k, m, r, s, seeds)
+    ranges = {"n": tuple(n), "k": tuple(k), "m": tuple(m), "r": tuple(r), "s": tuple(s)}
+    seed_ranges = {**ranges, "s": tuple(seeds)}
+    runnable: list[tuple[str, tuple]] = []
+    skipped: list[tuple[str, tuple]] = []
+    for ident in ids:
+        fields, precondition, check = IDENTITIES[ident]
+        spans = seed_ranges if ident == "INVERSION" else ranges
+        for values in product(*(spans[name] for name in fields)):
+            if precondition(*values):
+                runnable.append((check, values))
+            else:
+                skipped.append((ident, _slots(fields, values)))
     if jobs > 1:
         if checker is not None:
             raise InvalidParameters("custom checkers cannot be used with jobs > 1")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_task, runnable, chunksize=16))
+            reports = list(pool.map(_run, runnable, chunksize=16))
     else:
-        reports = [(_CHECK_FUNCS[ident](**kwargs, checker=checker))
-                   for ident, kwargs in runnable]
-    reports.sort(key=_sort_key)
-    skipped.sort(key=lambda item: (item[0], tuple(-1 if v is None else v for v in item[1])))
+        reports = [_run(task, checker) for task in runnable]
+    reports.sort(key=lambda rep: _order(rep.identity_id, rep.params))
+    skipped.sort(key=lambda item: _order(*item))
     return reports, skipped

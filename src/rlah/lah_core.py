@@ -14,14 +14,16 @@ with G(0, 0) = 1 and G(n, k) = 0 outside 0 <= k <= n.  Specialising
 and r-Stirling subset numbers respectively.
 
 r is always a concrete nonnegative integer parameter, never a variable;
-each r owns its own triangle.
+each r owns its own triangle.  The module-level ``DEFAULT`` store holds
+them, and every reader goes through it unless handed a store of its own.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-from .poly import A, B, ONE, X, ZERO, Polynomial
+from .poly import A, B, ONE, T, X, ZERO, Polynomial
 
 
 class LahTriangle:
@@ -61,21 +63,92 @@ class LahTriangle:
         self._rows.append(nxt)
 
 
-@lru_cache(maxsize=None)
-def _triangle(r: int) -> LahTriangle:
-    return LahTriangle(r)
+class TriangleStore:
+    """The triangles every reader shares, one LahTriangle per r.
+
+    ``corrupt_cell`` adds a constant offset to a single cell at read time,
+    which is how the fault-injection tests prove that a check, the oracle
+    or a closed form actually reads the cell.  The swapped-weight,
+    t-weighted and negated-t readings used by the orthogonality checks
+    are derived from the plain cells by variable substitution (a ring
+    homomorphism commutes with the recurrence), so a corrupted cell
+    poisons every derived reading consistently.
+    """
+
+    def __init__(self) -> None:
+        self._triangles: dict[int, LahTriangle] = {}
+        self._offsets: dict[tuple[int, int, int], int] = {}
+        self._derived: dict[tuple[str, int, int, int], Polynomial] = {}
+
+    def corrupt_cell(self, r: int, n: int, k: int, delta: int = 1) -> None:
+        """Offset cell (n, k) of triangle r by delta at read time."""
+        key = (r, n, k)
+        self._offsets[key] = self._offsets.get(key, 0) + delta
+        self._derived.clear()
+
+    def g(self, n: int, k: int, r: int) -> Polynomial:
+        """Weight polynomial G(n, k; r); zero when k > n or k < 0."""
+        tri = self._triangles.get(r)
+        if tri is None:
+            tri = self._triangles[r] = LahTriangle(r)
+        cell = tri.poly(n, k)
+        delta = self._offsets.get((r, n, k))
+        if delta:
+            cell = cell + delta
+        return cell
+
+    def _derived_cell(self, kind: str, n: int, k: int, r: int,
+                      transform: Callable[[Polynomial], Polynomial]) -> Polynomial:
+        key = (kind, n, k, r)
+        cell = self._derived.get(key)
+        if cell is None:
+            cell = self._derived[key] = transform(self.g(n, k, r))
+        return cell
+
+    def g_swapped(self, n: int, k: int, r: int) -> Polynomial:
+        """Weights read in the order (b, a)."""
+        return self._derived_cell("ba", n, k, r, lambda p: p.swap_ab())
+
+    def g_second_t(self, n: int, k: int, r: int) -> Polynomial:
+        """Weights (a, t): the b slot carries the free variable t."""
+        return self._derived_cell("at", n, k, r, lambda p: p.substitute(b=T))
+
+    def g_neg_t(self, n: int, k: int, r: int) -> Polynomial:
+        """Weights (-t, b): the a slot carries -t, coefficients go signed."""
+        return self._derived_cell("nb", n, k, r, lambda p: p.substitute(a=-T))
+
+    def g_int(self, n: int, k: int, r: int, a_val: int, b_val: int) -> int:
+        """G(n, k; r) evaluated at integer weights (a, b)."""
+        return self.g(n, k, r).eval(a=a_val, b=b_val).as_int()
+
+    def row_sum(self, n: int, r: int) -> Polynomial:
+        """Sum of row n over all block counts k."""
+        acc = ZERO
+        for k in range(n + 1):
+            acc = acc + self.g(n, k, r)
+        return acc
+
+    def row_sum_marked(self, n: int, r: int) -> Polynomial:
+        """Row sum with x marking the number of non-distinguished blocks."""
+        acc = ZERO
+        for k in range(n + 1):
+            acc = acc + self.g(n, k, r) * X ** k
+        return acc
+
+
+#: The store that every reader without an explicit store of its own uses;
+#: replacing it (or corrupting one of its cells) reaches every path.
+DEFAULT = TriangleStore()
 
 
 def g_poly(n: int, k: int, r: int) -> Polynomial:
     """Weight polynomial G(n, k; r); zero when k > n or k < 0."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return _triangle(r).poly(n, k)
+    return DEFAULT.g(n, k, r)
 
 
 def g_eval(n: int, k: int, r: int, a_val: int, b_val: int) -> int:
     """G(n, k; r) evaluated at integer weights (a, b)."""
-    return g_poly(n, k, r).eval(a=a_val, b=b_val).as_int()
+    return DEFAULT.g_int(n, k, r, a_val, b_val)
 
 
 def r_lah(n: int, k: int, r: int) -> int:
@@ -95,18 +168,12 @@ def r_stirling_subset(n: int, k: int, r: int) -> int:
 
 def row_sum_poly(n: int, r: int) -> Polynomial:
     """Sum of row n over all block counts k."""
-    acc = ZERO
-    for k in range(n + 1):
-        acc = acc + g_poly(n, k, r)
-    return acc
+    return DEFAULT.row_sum(n, r)
 
 
 def row_sum_marked(n: int, r: int) -> Polynomial:
     """Row sum with x marking the number of non-distinguished blocks."""
-    acc = ZERO
-    for k in range(n + 1):
-        acc = acc + g_poly(n, k, r) * X ** k
-    return acc
+    return DEFAULT.row_sum_marked(n, r)
 
 
 @lru_cache(maxsize=None)

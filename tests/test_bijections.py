@@ -20,17 +20,17 @@ def applying(cid):
 
 
 def test_pairs_i_instances():
-    pairs = list(bj.pairs_i(1, 1, 0, 0))
+    pairs = list(bj.iter_pairs("I_POS", 1, 1, 0, 0))
     assert len(pairs) == 1 and pairs[0].sign == 1
-    assert sum(p.sign for p in bj.pairs_i(2, 1, 1, 0)) == 4
-    assert sum(p.sign for p in bj.pairs_i(2, 1, 1, 1)) == 0
+    assert sum(p.sign for p in bj.iter_pairs("I_POS", 2, 1, 1, 0)) == 4
+    assert sum(p.sign for p in bj.iter_pairs("I_POS", 2, 1, 1, 1)) == 0
 
 
 def test_pair_counts_match_the_product_of_counts():
     # |pairs with j inner non-distinguished blocks| factorizes
     n, k, r, s = 3, 1, 1, 1
     by_j = {}
-    for pair in bj.pairs_ii(n, k, r, s):
+    for pair in bj.iter_pairs("II_EQ", n, k, r, s):
         j = len(pair.config.inner.blocks) - r
         by_j[j] = by_j.get(j, 0) + 1
     for j, count in by_j.items():
@@ -38,16 +38,19 @@ def test_pair_counts_match_the_product_of_counts():
 
 
 def test_fixed_i_counts():
-    assert bj.fixed_i(2, 2, 1, 0) == 1          # n = k
-    assert bj.fixed_i(2, 1, 1, 0) == 4
-    assert bj.fixed_i(3, 1, 1, 1) == 0          # zero factor in the closed form
+    def fixed(*params):
+        return sum(1 for p in bj.iter_pairs("I_POS", *params) if bj._is_fixed_i(p.config))
+
+    assert fixed(2, 2, 1, 0) == 1          # n = k
+    assert fixed(2, 1, 1, 0) == 4
+    assert fixed(3, 1, 1, 1) == 0          # zero factor in the closed form
 
 
 def test_sign_exponent_conventions():
-    for pair in bj.pairs_i(3, 1, 2, 0):
+    for pair in bj.iter_pairs("I_POS", 3, 1, 2, 0):
         j = len(pair.config.inner.blocks) - 2
         assert pair.sign == (-1) ** (j - 1)
-    for pair in bj.pairs_iii(3, 1, 1, 1):
+    for pair in bj.iter_pairs("III_EQ", 3, 1, 1, 1):
         j = len(pair.config.inner.blocks) - 1
         assert pair.sign == (-1) ** (3 - j)
 
@@ -57,8 +60,9 @@ def test_sign_exponent_conventions():
 
 
 def test_invol_i_round_trip_and_sign():
-    for n, k, r, s in applying("I_POS") + applying("I_NEG"):
-        for pair in bj.pairs_i(n, k, r, s):
+    cases = [(cid, params) for cid in ("I_POS", "I_NEG") for params in applying(cid)]
+    for cid, params in cases:
+        for pair in bj.iter_pairs(cid, *params):
             if bj._is_fixed_i(pair.config):
                 with pytest.raises(bj.FixedPointError):
                     bj.invol_i(pair)
@@ -71,7 +75,7 @@ def test_invol_i_round_trip_and_sign():
 
 
 def test_invol_changes_inner_block_count_by_one():
-    for pair in bj.pairs_ii(3, 1, 1, 1):
+    for pair in bj.iter_pairs("II_EQ", 3, 1, 1, 1):
         if bj._is_fixed_ii(pair.config):
             continue
         image = bj.invol_ii(pair)
@@ -85,6 +89,21 @@ def test_verify_construction_examples():
     assert report.passed and report.closed_form == 36
     report = bj.verify_construction("II_EQ", 3, 3, 2, 2)
     assert report.passed and report.total_pairs == report.fixed_points == 1
+
+
+def test_broken_involutions_fail(monkeypatch):
+    # negative controls: the verifier must reject an involution that keeps
+    # the sign, and a fixed-set predicate that accepts one pair too many
+    assert bj.verify_construction("I_POS", 2, 1, 1, 0).passed
+    monkeypatch.setitem(bj._INVOLUTIONS, "I",
+                        lambda pair: bj.SignedPair(bj.invol_i(pair).config, pair.sign))
+    assert not bj.verify_construction("I_POS", 2, 1, 1, 0).passed
+    monkeypatch.undo()
+    extra = next(p.config for p in bj.iter_pairs("I_POS", 2, 1, 1, 0)
+                 if not bj._is_fixed_i(p.config))
+    monkeypatch.setitem(bj._FIXED, "I", lambda cfg: cfg == extra or bj._is_fixed_i(cfg))
+    report = bj.verify_construction("I_POS", 2, 1, 1, 0)
+    assert not report.passed and report.fixed_points == report.closed_form + 1
 
 
 @pytest.mark.parametrize("cid", bj.CONSTRUCTION_IDS)
@@ -142,7 +161,7 @@ def test_fixed_points_carry_positive_sign():
 
 
 def test_map_iv_plain_case():
-    pairs = list(bj.pairs_iv(2, 1, 0, 0))
+    pairs = list(bj.iter_pairs("IV", 2, 1, 0, 0))
     assert len(pairs) == 2 == g_eval(2, 1, 0, 1, 1)
     images = {bj.map_iv(p.config).blocks for p in pairs}
     assert images == {d.blocks for d in enumerate_distributions(2, 1, 0)}
@@ -151,7 +170,7 @@ def test_map_iv_plain_case():
 def test_map_iv_round_trips():
     for n, k, r, s in applying("IV"):
         seen = set()
-        for pair in bj.pairs_iv(n, k, r, s):
+        for pair in bj.iter_pairs("IV", n, k, r, s):
             image = bj.map_iv(pair.config)
             image.validate()
             assert image.r == (r + s) // 2 and image.k == k
@@ -168,7 +187,7 @@ def test_inv_iv_then_map_iv_is_identity():
 
 
 def test_map_iv_rejects_bad_input():
-    cfg = next(bj.pairs_iv(2, 1, 1, 1)).config
+    cfg = next(bj.iter_pairs("IV", 2, 1, 1, 1)).config
     broken = bj.OuterArrangement(cfg.inner, cfg.specials, cfg.outer_blocks, "lah")
     with pytest.raises((bj.MalformedConfiguration, InvalidParameters)):
         bj.map_iv(broken)
@@ -181,7 +200,7 @@ def test_map_iv_rejects_bad_input():
 
 
 def test_outer_arrangement_validate_catches_duplicates():
-    cfg = next(bj.pairs_i(2, 1, 1, 0)).config
+    cfg = next(bj.iter_pairs("I_POS", 2, 1, 1, 0)).config
     doubled = bj.OuterArrangement(cfg.inner, cfg.specials,
                                   cfg.outer_blocks + cfg.outer_blocks[-1:],
                                   cfg.outer_kind)
@@ -197,7 +216,7 @@ def test_trace_texts():
     assert len(events) == 4
     for before, after in events:
         assert "(" in before and "(" in after
-    cyc = next(bj.pairs_ii(2, 1, 1, 2)).config
+    cyc = next(bj.iter_pairs("II_MID", 2, 1, 1, 2)).config
     assert "⟨" in cyc.text() and "[-1]" in cyc.text()
 
 

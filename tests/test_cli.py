@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rlah import cli, identities
+from rlah import bijections, cli, distributions, identities, lah_core
 
 
 def run(capsys, *argv):
@@ -76,7 +76,7 @@ def test_check_unknown_id(capsys):
 def test_check_failure_exit_and_witness(capsys, monkeypatch):
     poisoned = identities.Checker()
     poisoned.corrupt_cell(1, 3, 1)
-    monkeypatch.setattr(identities, "DEFAULT", poisoned)
+    monkeypatch.setattr(lah_core, "DEFAULT", poisoned)
     code, out = run(capsys, "check", "--id", "connection", "--n", "3", "--r", "1")
     assert code == 1
     assert "FAIL" in out and "lhs:" in out and "rhs:" in out
@@ -130,6 +130,14 @@ def test_oracle_cap_refusal(capsys):
     assert code == 0 and "cells=1" in out
 
 
+def test_oracle_refuses_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an object was generated before the cap refusal")
+
+    monkeypatch.setattr(distributions, "iter_arrangements", no_enumeration)
+    assert run(capsys, "oracle", "--n", "6", "--r", "3", "--cap-override", "8") == (3, "")
+
+
 def test_oracle_cap_override(capsys):
     code, out = run(capsys, "oracle", "--n", "4", "--r", "2", "--cap-override", "5")
     assert code == 3
@@ -157,6 +165,20 @@ def test_constructions_trace(capsys):
 def test_constructions_unknown_id(capsys):
     code, _ = run(capsys, "constructions", "--id", "zzz", "--n", "1")
     assert code == 2
+
+
+def test_constructions_cap_contract(capsys, monkeypatch):
+    args = ("constructions", "--id", "i_pos", "--n", "8", "--k", "8", "--r", "2", "--s", "0")
+    assert run(capsys, *args) == (3, "")
+    code, out = run(capsys, *args, "--cap-override", "10")
+    assert code == 0 and out.endswith("PASS\n")
+
+    def no_verification(*args, **kwargs):
+        raise AssertionError("a tuple was verified before the cap refusal")
+
+    monkeypatch.setattr(bijections, "verify_construction", no_verification)
+    assert run(capsys, "constructions", "--id", "i_pos", "--n", "7..8", "--k", "7..8",
+               "--r", "2", "--s", "0") == (3, "")
 
 
 def test_constructions_csv(capsys):
@@ -189,6 +211,14 @@ def test_sequences_r_bell_reduces_to_bell(capsys):
     assert bell.strip().splitlines()[:-1] == rb.strip().splitlines()[:-1]
 
 
+@pytest.mark.parametrize("argv", [("bell",), ("a000262",)] +
+                         [("r_bell", "--r", str(r)) for r in range(4)])
+def test_sequences_checked_to_index_12(capsys, argv):
+    code, out = run(capsys, "sequences", *argv, "--n", "12")
+    assert code == 0 and out.splitlines()[-1] == "PASS"
+    assert len(out.splitlines()) == 14
+
+
 def test_sequences_limit(capsys):
     code, _ = run(capsys, "sequences", "bell", "--n", "13")
     assert code == 2
@@ -197,6 +227,54 @@ def test_sequences_limit(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["table"]) == 2
     assert cli.main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--n", "2", "--r", "0", "--jobs", "4", "--cap-override", "1"),
+    ("table", "--n", "2", "--r", "0", "--jobs", "4"),
+    ("check", "--id", "connection", "--cap-override", "1"),
+    ("oracle", "--n", "1", "--r", "0", "--jobs", "2"),
+    ("sequences", "bell", "--n", "3", "--cap-override", "12"),
+])
+def test_flags_only_where_they_act(capsys, argv):
+    assert run(capsys, *argv) == (2, "")
+
+
+# ----------------------------------------------------------------------
+# negative controls: one poisoned cell of the shared store reaches every path
+
+
+@pytest.fixture
+def poisoned_store(monkeypatch):
+    poisoned = lah_core.TriangleStore()
+    poisoned.corrupt_cell(1, 3, 1)
+    monkeypatch.setattr(lah_core, "DEFAULT", poisoned)
+    return poisoned
+
+
+def test_poisoned_store_fails_the_oracle(capsys, poisoned_store):
+    code, out = run(capsys, "oracle", "--n", "4", "--r", "1")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
+        "MISMATCH n=3 k=1 r=1 oracle=11*a^2 + 18*a*b + 7*b^2 "
+        "triangle=11*a^2 + 18*a*b + 7*b^2 + 1"]
+
+
+def test_poisoned_store_fails_sequences(capsys, poisoned_store):
+    code, out = run(capsys, "sequences", "r_bell", "--n", "5", "--r", "1")
+    assert code == 1 and out.splitlines()[-1] == "FAIL"
+
+
+def test_poisoned_store_fails_closed_forms(capsys, poisoned_store):
+    code, out = run(capsys, "constructions", "--id", "ii_eq", "--n", "3", "--k", "1",
+                    "--r", "1", "--s", "1")
+    assert code == 1 and out.endswith("FAIL\n")
+
+
+def test_poisoned_store_reaches_the_table(capsys, poisoned_store):
+    code, out = run(capsys, "table", "--n", "3", "--r", "1")
+    assert code == 0
+    assert out.splitlines()[3].split(" | ")[1] == str(lah_core.TriangleStore().g(3, 1, 1) + 1)
 
 
 def test_module_entry_point():
