@@ -9,7 +9,7 @@ bijection that prove the alternating-sum identities.
 from .distributions import (LahDistribution, SizeLimitError, StatPair,
                             enumerate_distributions, oracle_g, oracle_row,
                             record_lows, stats)
-from .identities import CheckReport, Checker, InvalidParameters, sweep, sweep_detailed
+from .identities import CheckReport, Checker, InvalidParameters, sweep_detailed
 from .lah_core import (binomial, falling_factorial, g_eval, g_poly, r_lah,
                        r_stirling_cycle, r_stirling_subset, rising_factorial,
                        row_sum_marked, row_sum_poly)
@@ -23,5 +23,5 @@ __all__ = [
     "enumerate_distributions", "falling_factorial", "g_eval", "g_poly",
     "oracle_g", "oracle_row", "r_lah", "r_stirling_cycle",
     "r_stirling_subset", "range_product", "record_lows", "rising_factorial",
-    "row_sum_marked", "row_sum_poly", "stats", "sweep", "sweep_detailed",
+    "row_sum_marked", "row_sum_poly", "stats", "sweep_detailed",
 ]

@@ -1,24 +1,14 @@
 """Executable combinatorial constructions behind the alternating-sum identities.
 
-Each construction works on ordered pairs: an inner distribution over
-1..n+r, and an outer arrangement whose items are blocks (or min-first
-"cycles") of the inner distribution, possibly padded with special
-singleton items labelled -1, -2, ... to balance the distinguished counts.
-Three constructions are sign-reversing involutions whose survivor sets
-realize the closed form of the corresponding identity; the fourth is an
-explicit bijection onto a set of distributions.
-
-Construction ids and their parameter domains:
-
-    I_POS    r >= s      outer is block-ordered (Lah type)
-    I_NEG    r <  s      as I_POS plus s-r special singletons
-    II_EQ    r == s      outer is cycle type (min-rank item first)
-    II_MID   r < s <= 2r cycle type plus s-r special singletons
-    II_GT    r >  s      cycle type, blocks holding s+1..r left out
-    III_EQ   r == s      inner has increasing blocks, outer Lah type
-    III_LT   r <  s      plus s-r special singletons
-    III_MID  s < r <= 2s blocks holding s+1..r left out
-    IV       r == s mod 2: a bijection, not an involution
+Each construction proves one alternating identity of
+``identities.ALTERNATING`` in the cases of r - s that ``_CONSTRUCTIONS``
+lists; IV is a bijection, the others are sign-reversing involutions.
+Its pair family is the identity's term product: an inner distribution
+over 1..n+r whose blocks follow the first factor's weights, and an outer
+arrangement of its blocks following the second's ((1, 1) any order,
+(1, 0) min-first "cycles", (0, 1) increasing), signed by the identity's
+sign and padded as needed with special singleton items labelled -1, -2,
+...  The involutions' survivor sets realize the identity's closed side.
 
 The involutions move mass between adjacent items of one outer group (or
 one section of a group, for the special-singleton variants), flipping
@@ -28,8 +18,8 @@ predicate so the two implementations can disagree and expose bugs.
 
 Inner blocks are referenced by value inside outer groups (blocks are
 disjoint label sets, so values are unique); inner blocks not referenced
-by any group are exempt from the arrangement (II_GT, III_MID, and the
-distinguished cycles of IV).
+by any group are exempt from the arrangement (the left-out blocks, and
+the distinguished cycles of IV).
 
 Trace text renders a configuration as its outer groups joined by ``|``,
 cycle groups in angle brackets, special items as ``[-i]``, with exempt
@@ -39,14 +29,11 @@ blocks after a double bar, e.g. ``⟨(1,3),(7)⟩|([-1],(5))  ‖ (2,4)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .distributions import LahDistribution, enumerate_distributions, iter_arrangements
+from . import identities, lah_core
+from .distributions import MODES, LahDistribution, enumerate_distributions, iter_arrangements
 from .identities import InvalidParameters
-from .lah_core import binomial, falling_factorial, g_eval, rising_factorial
-
-CONSTRUCTION_IDS = ("I_POS", "I_NEG", "II_EQ", "II_MID", "II_GT",
-                    "III_EQ", "III_LT", "III_MID", "IV")
 
 class FixedPointError(Exception):
     """The involution was applied to a member of its fixed set."""
@@ -75,7 +62,7 @@ class OuterArrangement:
     inner: LahDistribution
     specials: int
     outer_blocks: tuple
-    outer_kind: str  # "lah" | "cycle" | "increasing"
+    outer_kind: str  # one of distributions.MODES
 
     def referenced_blocks(self) -> tuple:
         return tuple(it for g in self.outer_blocks for it in g if not isinstance(it, int))
@@ -85,7 +72,7 @@ class OuterArrangement:
         return tuple(b for b in self.inner.blocks if b not in referenced)
 
     def validate(self) -> None:
-        if self.outer_kind not in ("lah", "cycle", "increasing"):
+        if self.outer_kind not in MODES:
             raise MalformedConfiguration(f"unknown outer kind {self.outer_kind!r}")
         if self.specials < 0:
             raise MalformedConfiguration("negative special count")
@@ -107,7 +94,7 @@ class OuterArrangement:
             if dist_items > 1:
                 raise MalformedConfiguration("two distinguished items share a group")
             ranks = [_rank(it) for it in group]
-            if self.outer_kind == "cycle" and ranks[0] != min(ranks):
+            if self.outer_kind == "min_first" and ranks[0] != min(ranks):
                 raise MalformedConfiguration("cycle does not lead with its smallest item")
             if self.outer_kind == "increasing" and ranks != sorted(ranks):
                 raise MalformedConfiguration("increasing group out of order")
@@ -123,7 +110,7 @@ class OuterArrangement:
             raise MalformedConfiguration("outer groups not in canonical order")
 
     def text(self) -> str:
-        opener, closer = ("⟨", "⟩") if self.outer_kind == "cycle" else ("(", ")")
+        opener, closer = ("⟨", "⟩") if self.outer_kind == "min_first" else ("(", ")")
 
         def item_text(it):
             if isinstance(it, int):
@@ -173,75 +160,95 @@ class InvolutionReport:
 # ----------------------------------------------------------------------
 # enumeration of the pair families
 
-# inner mode, outer kind, which blocks are arranged, special count, sign exponent
-_FAMILY = {
-    "I_POS": ("all", "lah", "skip_mid", "none", "j-k"),
-    "I_NEG": ("all", "lah", "all", "s-r", "n-j"),
-    "II_EQ": ("all", "cycle", "all", "none", "j-k"),
-    "II_MID": ("all", "cycle", "all", "s-r", "j-k"),
-    "II_GT": ("all", "cycle", "skip_mid", "none", "j-k"),
-    "III_EQ": ("increasing", "lah", "all", "none", "n-j"),
-    "III_LT": ("increasing", "lah", "all", "s-r", "n-j"),
-    "III_MID": ("increasing", "lah", "skip_mid", "none", "n-j"),
-    "IV": ("min_first", "increasing", "nondist", "s", "zero"),
+#: The alternating identity each construction proves, and the signs of
+#: r - s it covers; everything else about its pair family is derived.
+_CONSTRUCTIONS = {
+    "I_POS": ("RLAH_I", (0, 1)),
+    "I_NEG": ("RLAH_I_NEG", (-1,)),
+    "II_EQ": ("RLAH_II", (0,)),
+    "II_MID": ("RLAH_II", (-1,)),
+    "II_GT": ("RLAH_II", (1,)),
+    "III_EQ": ("RLAH_III", (0,)),
+    "III_LT": ("RLAH_III", (-1,)),
+    "III_MID": ("RLAH_III", (1,)),
+    "IV": ("RLAH_IV", (-1, 0, 1)),
 }
 
-_OUTER_MODE = {"lah": "all", "cycle": "min_first", "increasing": "increasing"}
+CONSTRUCTION_IDS = tuple(_CONSTRUCTIONS)
 
-_CONDITIONS: dict[str, Callable[[int, int], bool]] = {
-    "I_POS": lambda r, s: r >= s,
-    "I_NEG": lambda r, s: r < s,
-    "II_EQ": lambda r, s: r == s,
-    "II_MID": lambda r, s: r < s <= 2 * r,
-    "II_GT": lambda r, s: r > s,
-    "III_EQ": lambda r, s: r == s,
-    "III_LT": lambda r, s: r < s,
-    "III_MID": lambda r, s: s < r <= 2 * s,
-    "IV": lambda r, s: (r - s) % 2 == 0,
-}
+#: The block order that specialising a factor's weights (a, b) counts.
+_WEIGHT_MODES = {(1, 1): "all", (1, 0): "min_first", (0, 1): "increasing"}
+
+#: Whether a block follows each block order of distributions.MODES.
+_IN_MODE = {"all": lambda b: True, "min_first": lambda b: b[0] == min(b),
+            "increasing": lambda b: list(b) == sorted(b)}
+
+
+class _Family(NamedTuple):
+    """The signed pairs of one construction: the term product of its
+    identity.  The outer arrangement's s distinguished items are the
+    specials and the inner blocks led by 1..low; the distinguished blocks
+    led by low+1..r are left out of it.  The involutions arrange min(r, s)
+    distinguished blocks, the bijection IV none."""
+
+    n: int
+    k: int
+    r: int
+    s: int
+    inner_mode: str
+    outer_mode: str
+    sign: Callable[[int, int, int], int]
+    closed: Callable[..., int]
+    specials: int
+    low: int
+
+    def kept(self, inner: LahDistribution) -> tuple:
+        # canonical blocks are ordered by minimum: those led by 1..r come first
+        return inner.blocks[:self.low] + inner.blocks[self.r:]
+
+    def holds(self, cfg: OuterArrangement) -> bool:
+        """Whether a configuration belongs to the family."""
+        inner = cfg.inner
+        return (inner.n == self.n and inner.r == self.r and cfg.specials == self.specials
+                and cfg.outer_kind == self.outer_mode
+                and len(cfg.outer_blocks) == self.k + self.s
+                and all(map(_IN_MODE[self.inner_mode], inner.blocks))
+                and sorted(cfg.referenced_blocks()) == sorted(self.kept(inner)))
 
 
 def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -> bool:
-    if construction_id not in _CONDITIONS:
+    if construction_id not in _CONSTRUCTIONS:
         raise InvalidParameters(f"unknown construction {construction_id!r}")
-    if n < 0 or r < 0 or s < 0 or not 0 <= k <= n:
-        return False
-    return _CONDITIONS[construction_id](r, s)
+    identity, cases = _CONSTRUCTIONS[construction_id]
+    precondition = identities.IDENTITIES[identity][1]
+    return precondition(n, k, r, s) and (r > s) - (r < s) in cases
 
 
-def _require_params(construction_id: str, n: int, k: int, r: int, s: int) -> None:
+def _family(construction_id: str, n: int, k: int, r: int, s: int) -> _Family:
     if not construction_applies(construction_id, n, k, r, s):
         raise InvalidParameters(
             f"{construction_id} does not apply at n={n} k={k} r={r} s={s}")
+    inner_weights, outer_weights, sign, closed = identities.ALTERNATING[
+        _CONSTRUCTIONS[construction_id][0]]
+    low = 0 if construction_id == "IV" else min(r, s)
+    return _Family(n, k, r, s, _WEIGHT_MODES[inner_weights], _WEIGHT_MODES[outer_weights],
+                   sign, closed, s - low, low)
 
 
 def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
                cap: int | None = None) -> Iterator[SignedPair]:
     """Enumerate the signed pair family of one construction; the inner
     distributions of n+r labels are subject to the enumeration cap."""
-    _require_params(construction_id, n, k, r, s)
-    inner_mode, outer_kind, selection, special_rule, sign_kind = _FAMILY[construction_id]
-    specials = {"none": 0, "s-r": s - r, "s": s}[special_rule]
-    outer_mode = _OUTER_MODE[outer_kind]
+    family = _family(construction_id, n, k, r, s)
+    specials, outer_mode = family.specials, family.outer_mode
     special_items = tuple(range(-specials, 0))
     for j in range(k, n + 1):
-        if sign_kind == "j-k":
-            sign = -1 if (j - k) % 2 else 1
-        elif sign_kind == "n-j":
-            sign = -1 if (n - j) % 2 else 1
-        else:
-            sign = 1
-        for inner in enumerate_distributions(n, j, r, inner_mode, cap):
-            if selection == "all":
-                kept = inner.blocks
-            elif selection == "skip_mid":
-                kept = tuple(b for b in inner.blocks if not s < min(b) <= r)
-            else:  # nondist
-                kept = tuple(b for b in inner.blocks if min(b) > r)
-            items = special_items + kept
+        sign = family.sign(n, j, k)
+        for inner in enumerate_distributions(n, j, r, family.inner_mode, cap):
+            items = special_items + family.kept(inner)
             for groups in iter_arrangements(len(items) - s, s, k, outer_mode):
                 outer = tuple(tuple(items[idx] for idx in grp) for grp in groups)
-                yield SignedPair(OuterArrangement(inner, specials, outer, outer_kind), sign)
+                yield SignedPair(OuterArrangement(inner, specials, outer, outer_mode), sign)
 
 
 # ----------------------------------------------------------------------
@@ -518,18 +525,8 @@ _FIXED = {"I": _is_fixed_i, "II": _is_fixed_ii, "III": _is_fixed_iii}
 
 
 def closed_form(construction_id: str, n: int, k: int, r: int, s: int) -> int:
-    """Predicted survivor count (equivalently, the identity's closed side)."""
-    _require_params(construction_id, n, k, r, s)
-    family = construction_id.split("_")[0]
-    if construction_id == "I_POS":
-        return binomial(n, k) * rising_factorial(2 * (r - s), n - k)
-    if construction_id == "I_NEG":
-        return binomial(n, k) * falling_factorial(2 * (s - r), n - k)
-    if family == "II":
-        return g_eval(n, k, 2 * r - s, 1, 0)
-    if family == "III":
-        return g_eval(n, k, 2 * s - r, 0, 1)
-    return g_eval(n, k, (r + s) // 2, 1, 1)
+    """Predicted survivor count: the closed side of the construction's identity."""
+    return _family(construction_id, n, k, r, s).closed(lah_core.DEFAULT, n, k, r, s)
 
 
 # ----------------------------------------------------------------------
@@ -759,13 +756,14 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
                         cap: int | None = None) -> InvolutionReport:
     """Enumerate one construction, exercise its map, and check every claim.
 
-    For the involutions: double application is the identity off the fixed
-    set, the sign flips, the declarative fixed predicate count and the
-    signed sum both match the closed form.  For IV: round trips in both
-    directions, injectivity (via an image set), and image cardinality
-    equal to the closed form, which certifies bijectivity.
+    For the involutions: every image lies in the pair family, double
+    application is the identity off the fixed set, the sign flips and is
+    the family's sign at the image, the declarative fixed predicate count
+    and the signed sum both match the closed form.  For IV: round trips in both directions, injectivity (via
+    an image set), and image cardinality equal to the closed form, which
+    certifies bijectivity.
     """
-    _require_params(construction_id, n, k, r, s)
+    family = _family(construction_id, n, k, r, s)
     target = closed_form(construction_id, n, k, r, s)
     params = (n, k, r, s)
     if construction_id == "IV":
@@ -791,9 +789,9 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         return InvolutionReport(construction_id, params, total, total, total, target,
                                 round_trips, True, bijective, passed)
 
-    family = construction_id.split("_")[0]
-    invol = _INVOLUTIONS[family]
-    predicate = _FIXED[family]
+    kind = construction_id.split("_")[0]
+    invol = _INVOLUTIONS[kind]
+    predicate = _FIXED[kind]
     total = fixed = signed = 0
     involutive = True
     sign_reversing = True
@@ -813,9 +811,9 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
             continue
         image = invol(pair)
         image.config.validate()
-        if image.sign != -pair.sign:
+        if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
             sign_reversing = False
-        if predicate(image.config):
+        if predicate(image.config) or not family.holds(image.config):
             involutive = False
         back = invol(image)
         if back.config != pair.config or back.sign != pair.sign:

@@ -164,9 +164,12 @@ def cmd_check(args) -> Output:
     ids = _identity_ids(args.id)
     if ids is None:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
-    reports, skipped = identities.sweep_detailed(
-        ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s, seeds=args.s,
-        jobs=args.jobs)
+    try:
+        reports, skipped = identities.sweep_detailed(
+            ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s, seeds=args.s,
+            jobs=args.jobs)
+    except identities.InvalidParameters as exc:
+        return _refuse("check", EXIT_USAGE, exc)
 
     def rows():
         for rep in reports:

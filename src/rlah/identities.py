@@ -3,8 +3,8 @@
 Every check expands both sides of one identity instance as canonical
 polynomials (or exact integers) and compares them structurally; there is
 no tolerance anywhere.  Checks raise :class:`InvalidParameters` when a
-stated precondition fails, and :func:`sweep` skips such tuples; both
-read the precondition from the one ``IDENTITIES`` table.
+stated precondition fails, and :func:`sweep_detailed` skips such tuples;
+both read the precondition from the one ``IDENTITIES`` table.
 
 Every check reads its cells from a :class:`Checker`, which is the
 triangle store of :mod:`rlah.lah_core`: the default store unless the
@@ -13,6 +13,7 @@ caller passes one, for instance one with a corrupted cell.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -266,59 +267,56 @@ def check_marked_rec(n: int, r: int, checker: Checker | None = None) -> CheckRep
 # alternating-sum identities for the specialised numbers (a = b = 1 level)
 
 
+#: One entry per alternating identity sum_j sign * G(n,j;r)|w1 * G(j,k;s)|w2 = closed:
+#: the integer weights (a, b) of the two factors, the sign of the j-th term
+#: as a function of (n, j, k), and the closed side as a function of a store
+#: and (n, k, r, s).  The proof constructions of :mod:`rlah.bijections`
+#: derive their pair families, signs and survivor counts from these entries.
+ALTERNATING: dict[str, tuple[tuple[int, int], tuple[int, int], Callable, Callable]] = {
+    "RLAH_I": ((1, 1), (1, 1), lambda n, j, k: (-1) ** (j - k),
+               lambda c, n, k, r, s: binomial(n, k) * rising_factorial(2 * (r - s), n - k)),
+    "RLAH_I_NEG": ((1, 1), (1, 1), lambda n, j, k: (-1) ** (n - j),
+                   lambda c, n, k, r, s: binomial(n, k) * falling_factorial(2 * (s - r), n - k)),
+    "RLAH_II": ((1, 1), (1, 0), lambda n, j, k: (-1) ** (j - k),
+                lambda c, n, k, r, s: c.g_int(n, k, 2 * r - s, 1, 0)),
+    "RLAH_III": ((0, 1), (1, 1), lambda n, j, k: (-1) ** (n - j),
+                 lambda c, n, k, r, s: c.g_int(n, k, 2 * s - r, 0, 1)),
+    "RLAH_IV": ((1, 0), (0, 1), lambda n, j, k: 1,
+                lambda c, n, k, r, s: c.g_int(n, k, (r + s) // 2, 1, 1)),
+}
+
+
+def _alternating(identity_id: str, n: int, k: int, r: int, s: int,
+                 checker: Checker | None) -> CheckReport:
+    params = _params(identity_id, n, k, r, s)
+    c = _store(checker)
+    first, second, sign, closed = ALTERNATING[identity_id]
+    lhs = closed(c, n, k, r, s)
+    rhs = 0
+    for j in range(k, n + 1):
+        rhs += sign(n, j, k) * c.g_int(n, j, r, *first) * c.g_int(j, k, s, *second)
+    return _report(identity_id, params,
+                   Polynomial.constant(lhs), Polynomial.constant(rhs))
+
+
 def check_rlah_i(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Alternating double-Lah sum against the rising/falling factorial form."""
-    ident = "RLAH_I" if r >= s else "RLAH_I_NEG"
-    params = _params(ident, n, k, r, s)
-    c = _store(checker)
-    if r >= s:
-        lhs = binomial(n, k) * rising_factorial(2 * (r - s), n - k)
-        rhs = 0
-        for j in range(k, n + 1):
-            rhs += (-1) ** (j - k) * c.g_int(n, j, r, 1, 1) * c.g_int(j, k, s, 1, 1)
-    else:
-        lhs = binomial(n, k) * falling_factorial(2 * (s - r), n - k)
-        rhs = 0
-        for j in range(k, n + 1):
-            rhs += (-1) ** (n - j) * c.g_int(n, j, r, 1, 1) * c.g_int(j, k, s, 1, 1)
-    return _report(ident, params,
-                   Polynomial.constant(lhs), Polynomial.constant(rhs))
+    return _alternating("RLAH_I" if r >= s else "RLAH_I_NEG", n, k, r, s, checker)
 
 
 def check_rlah_ii(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Lah-by-cycle alternating sum collapsing to the 2r-s cycle numbers."""
-    params = _params("RLAH_II", n, k, r, s)
-    c = _store(checker)
-    lhs = c.g_int(n, k, 2 * r - s, 1, 0)
-    rhs = 0
-    for j in range(k, n + 1):
-        rhs += (-1) ** (j - k) * c.g_int(n, j, r, 1, 1) * c.g_int(j, k, s, 1, 0)
-    return _report("RLAH_II", params,
-                   Polynomial.constant(lhs), Polynomial.constant(rhs))
+    return _alternating("RLAH_II", n, k, r, s, checker)
 
 
 def check_rlah_iii(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Subset-by-Lah alternating sum collapsing to the 2s-r subset numbers."""
-    params = _params("RLAH_III", n, k, r, s)
-    c = _store(checker)
-    lhs = c.g_int(n, k, 2 * s - r, 0, 1)
-    rhs = 0
-    for j in range(k, n + 1):
-        rhs += (-1) ** (n - j) * c.g_int(n, j, r, 0, 1) * c.g_int(j, k, s, 1, 1)
-    return _report("RLAH_III", params,
-                   Polynomial.constant(lhs), Polynomial.constant(rhs))
+    return _alternating("RLAH_III", n, k, r, s, checker)
 
 
 def check_rlah_iv(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
     """Cycle-subset convolution equal to the Lah numbers at the average level."""
-    params = _params("RLAH_IV", n, k, r, s)
-    c = _store(checker)
-    lhs = c.g_int(n, k, (r + s) // 2, 1, 1)
-    rhs = 0
-    for j in range(k, n + 1):
-        rhs += c.g_int(n, j, r, 1, 0) * c.g_int(j, k, s, 0, 1)
-    return _report("RLAH_IV", params,
-                   Polynomial.constant(lhs), Polynomial.constant(rhs))
+    return _alternating("RLAH_IV", n, k, r, s, checker)
 
 
 # ----------------------------------------------------------------------
@@ -394,15 +392,6 @@ def _order(identity_id: str, params) -> tuple:
     return (identity_id, tuple(-1 if v is None else v for v in params))
 
 
-def sweep(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
-          k: Iterable[int] = (0,), m: Iterable[int] = (0,), r: Iterable[int] = (0,),
-          s: Iterable[int] = (0,), seeds: Iterable[int] = (1, 2, 3),
-          checker: Checker | None = None, jobs: int = 1) -> list[CheckReport]:
-    reports, _ = sweep_detailed(ids, n=n, k=k, m=m, r=r, s=s, seeds=seeds,
-                                checker=checker, jobs=jobs)
-    return reports
-
-
 def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
                    k: Iterable[int] = (0,), m: Iterable[int] = (0,),
                    r: Iterable[int] = (0,), s: Iterable[int] = (0,),
@@ -413,8 +402,11 @@ def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
     Returns (reports, skipped) where skipped lists the precondition-violating
     tuples as (identity_id, params).  Reports come back in canonical
     (identity_id, params) order regardless of execution order.  INVERSION
-    draws its s slot from ``seeds``.
+    draws its s slot from ``seeds``.  ``jobs`` > 1 runs the checks in at
+    most min(jobs, usable CPUs) worker processes.
     """
+    if jobs < 1:
+        raise InvalidParameters(f"jobs must be at least 1, got {jobs}")
     if ids is None:
         ids = IDENTITY_IDS
     unknown = [i for i in ids if i not in IDENTITIES]
@@ -435,7 +427,9 @@ def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
     if jobs > 1:
         if checker is not None:
             raise InvalidParameters("custom checkers cannot be used with jobs > 1")
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(jobs, usable)) as pool:
             reports = list(pool.map(_run, runnable, chunksize=16))
     else:
         reports = [_run(task, checker) for task in runnable]

@@ -38,8 +38,8 @@ def test_criterion_2_identity_suite():
     ids = ["CONNECTION", "VERTICAL", "HORIZONTAL", "SHIFT", "CONVOLUTION",
            "SPLITTING", "ROWSUM_SHIFT", "ROWSUM_SPLIT", "ROWSUM_DECOMP",
            "ROWSUM_REC", "MARKED_REC"]
-    reports = idn.sweep(ids, n=range(9), k=range(9), m=range(5),
-                        r=range(4), s=range(4))
+    reports = idn.sweep_detailed(ids, n=range(9), k=range(9), m=range(5),
+                                 r=range(4), s=range(4))[0]
     failed = [rep.line() for rep in reports if not rep.passed]
     _report("2 identity-suite", not failed, f"({len(reports)} checks)")
 
@@ -47,7 +47,7 @@ def test_criterion_2_identity_suite():
 def test_criterion_3_integer_identities():
     """Both branches of the double-Lah sum plus the mixed sums, n<=8 r,s<=4."""
     ids = ["RLAH_I", "RLAH_I_NEG", "RLAH_II", "RLAH_III", "RLAH_IV"]
-    reports = idn.sweep(ids, n=range(9), k=range(9), r=range(5), s=range(5))
+    reports = idn.sweep_detailed(ids, n=range(9), k=range(9), r=range(5), s=range(5))[0]
     failed = [rep.line() for rep in reports if not rep.passed]
     _report("3 integer-identities", not failed, f"({len(reports)} checks)")
 
@@ -55,10 +55,10 @@ def test_criterion_3_integer_identities():
 def test_criterion_4_orthogonality():
     """Symbolic orthogonality and the t-factorization for n<=7, r<=3, plus
     the inversion round trip at n_max=10, three seeds, three weight pairs."""
-    reports = idn.sweep(["ORTH", "TRIPLE"], n=range(8), k=range(8), r=range(4))
+    reports = idn.sweep_detailed(["ORTH", "TRIPLE"], n=range(8), k=range(8), r=range(4))[0]
     failed = [rep.line() for rep in reports if not rep.passed]
     assert idn.INVERSION_WEIGHTS == ((1, 1), (2, 3), (0, 1))
-    inversion = idn.sweep(["INVERSION"], n=(10,), r=range(4), seeds=(1, 2, 3))
+    inversion = idn.sweep_detailed(["INVERSION"], n=(10,), r=range(4), seeds=(1, 2, 3))[0]
     failed += [rep.line() for rep in inversion if not rep.passed]
     _report("4 orthogonality", not failed,
             f"({len(reports)} symbolic + {len(inversion)} round trips)")
@@ -110,8 +110,8 @@ def test_criterion_7_fault_injection():
     # a corrupted sweep must surface a failing report carrying its witness
     checker = idn.Checker()
     checker.corrupt_cell(1, 4, 2, delta=1)
-    reports = idn.sweep(["CONNECTION", "ORTH", "TRIPLE"], n=range(6), k=range(6),
-                        r=(1,), checker=checker)
+    reports = idn.sweep_detailed(["CONNECTION", "ORTH", "TRIPLE"], n=range(6), k=range(6),
+                                 r=(1,), checker=checker)[0]
     bad = [rep for rep in reports if not rep.passed]
     ok = ok and bad and all(rep.lhs is not None and rep.rhs is not None for rep in bad)
     # every distribution family stays intact: the uncorrupted suite still passes

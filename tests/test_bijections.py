@@ -1,10 +1,12 @@
 """Exhaustive small-scale checks of the involutions and the bijection."""
 
+from itertools import product
+
 import pytest
 
 from rlah import bijections as bj
 from rlah.distributions import enumerate_distributions
-from rlah.identities import InvalidParameters
+from rlah.identities import IDENTITIES, InvalidParameters
 from rlah.lah_core import g_eval
 
 SMALL = [(n, k, r, s) for n in range(4) for k in range(n + 1)
@@ -93,17 +95,134 @@ def test_verify_construction_examples():
 
 def test_broken_involutions_fail(monkeypatch):
     # negative controls: the verifier must reject an involution that keeps
-    # the sign, and a fixed-set predicate that accepts one pair too many
+    # the sign, one that leaves the pair as it is with or without negating
+    # its sign, and a fixed-set predicate that accepts one pair too many
     assert bj.verify_construction("I_POS", 2, 1, 1, 0).passed
-    monkeypatch.setitem(bj._INVOLUTIONS, "I",
-                        lambda pair: bj.SignedPair(bj.invol_i(pair).config, pair.sign))
-    assert not bj.verify_construction("I_POS", 2, 1, 1, 0).passed
+    for broken in (lambda pair: bj.SignedPair(bj.invol_i(pair).config, pair.sign),
+                   lambda pair: bj.invol_i(pair) and pair,
+                   lambda pair: bj.invol_i(pair) and bj.SignedPair(pair.config, -pair.sign)):
+        monkeypatch.setitem(bj._INVOLUTIONS, "I", broken)
+        report = bj.verify_construction("I_POS", 2, 1, 1, 0)
+        assert not report.sign_reversing and not report.passed
     monkeypatch.undo()
     extra = next(p.config for p in bj.iter_pairs("I_POS", 2, 1, 1, 0)
                  if not bj._is_fixed_i(p.config))
     monkeypatch.setitem(bj._FIXED, "I", lambda cfg: cfg == extra or bj._is_fixed_i(cfg))
     report = bj.verify_construction("I_POS", 2, 1, 1, 0)
     assert not report.passed and report.fixed_points == report.closed_form + 1
+
+
+def _leaving_family(invol, mark, unmark, marked):
+    """A sign-reversing involution whose images ``mark`` may move out of the
+    pair family; ``unmark`` brings a marked image back before inverting."""
+    def broken(pair):
+        if marked(pair.config):
+            return invol(bj.SignedPair(unmark(pair.config), pair.sign))
+        image = invol(pair)
+        return bj.SignedPair(mark(pair.config, image.config), image.sign)
+    return broken
+
+
+def _fails_only_membership(monkeypatch, cid, params, broken):
+    kind = cid.split("_")[0]
+    predicate = bj._FIXED[kind]
+    left = 0
+    for pair in bj.iter_pairs(cid, *params):
+        if predicate(pair.config):
+            continue
+        image = broken(pair)
+        image.config.validate()
+        assert image.sign == -pair.sign and not predicate(image.config)
+        assert broken(image) == pair
+        left += image.config != bj._INVOLUTIONS[kind](pair).config
+    assert left  # some images really leave the family
+    assert bj.verify_construction(cid, *params).passed
+    monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
+    report = bj.verify_construction(cid, *params)
+    assert report.sign_reversing and report.signed_sum == report.fixed_points
+    assert not report.involutive and not report.passed
+
+
+def test_image_with_an_extra_outer_group_fails(monkeypatch):
+    # negative control: split the last item of the last group off into a
+    # group of its own, in orbits where both configurations allow it
+    def splittable(cfg):
+        last = cfg.outer_blocks[-1]
+        return len(last) > 1 and min(last[-1]) > min(map(min, last)) and any(
+            sum(map(len, g)) > 1 for g in cfg.outer_blocks[:-1] + (last[:-1],))
+
+    def mark(before, after):
+        if not (splittable(before) and splittable(after)):
+            return after
+        *groups, last = after.outer_blocks
+        return bj.OuterArrangement(after.inner, after.specials,
+                                   (*groups, last[:-1], last[-1:]), after.outer_kind)
+
+    def unmark(cfg):
+        *groups, last, extra = cfg.outer_blocks
+        return bj.OuterArrangement(cfg.inner, cfg.specials, (*groups, last + extra),
+                                   cfg.outer_kind)
+
+    broken = _leaving_family(bj.invol_i, mark, unmark,
+                             lambda cfg: len(cfg.outer_blocks) == 2)  # k + s + 1
+    _fails_only_membership(monkeypatch, "I_POS", (4, 1, 1, 0), broken)
+
+
+def test_image_arranging_a_left_out_block_fails(monkeypatch):
+    # negative control: the left-out block led by label 1 joins the first group
+    def mark(before, after):
+        first, *groups = after.outer_blocks
+        return bj.OuterArrangement(after.inner, after.specials,
+                                   (first + after.exempt_blocks(), *groups), after.outer_kind)
+
+    def unmark(cfg):
+        first, *groups = cfg.outer_blocks
+        return bj.OuterArrangement(cfg.inner, cfg.specials, (first[:-1], *groups),
+                                   cfg.outer_kind)
+
+    broken = _leaving_family(bj.invol_i, mark, unmark, lambda cfg: not cfg.exempt_blocks())
+    _fails_only_membership(monkeypatch, "I_POS", (3, 1, 1, 0), broken)
+
+
+def test_image_with_a_block_out_of_order_fails(monkeypatch):
+    # negative control: reverse the first inner block of two or more labels,
+    # in orbits where both configurations have one
+    def reverse_block(cfg, block):
+        def swap(item):
+            return item[::-1] if item == block else item
+        inner = bj.LahDistribution(cfg.inner.n, cfg.inner.r,
+                                   tuple(swap(b) for b in cfg.inner.blocks))
+        groups = tuple(tuple(swap(it) for it in g) for g in cfg.outer_blocks)
+        return bj.OuterArrangement(inner, cfg.specials, groups, cfg.outer_kind)
+
+    def long_block(cfg):
+        return next((b for b in cfg.inner.blocks if len(b) > 1), None)
+
+    def mark(before, after):
+        if long_block(before) is None or long_block(after) is None:
+            return after
+        return reverse_block(after, long_block(after))
+
+    def unmark(cfg):
+        return reverse_block(cfg, next(b for b in cfg.inner.blocks if list(b) != sorted(b)))
+
+    def marked(cfg):
+        return any(list(b) != sorted(b) for b in cfg.inner.blocks)
+
+    broken = _leaving_family(bj.invol_iii, mark, unmark, marked)
+    _fails_only_membership(monkeypatch, "III_EQ", (4, 1, 1, 1), broken)
+
+
+def test_constructions_partition_their_identities():
+    proves = {"RLAH_I": ("I_POS",), "RLAH_I_NEG": ("I_NEG",),
+              "RLAH_II": ("II_EQ", "II_MID", "II_GT"),
+              "RLAH_III": ("III_EQ", "III_LT", "III_MID"), "RLAH_IV": ("IV",)}
+    assert sorted(cid for cids in proves.values() for cid in cids) == sorted(bj.CONSTRUCTION_IDS)
+    for ident, cids in proves.items():
+        precondition = IDENTITIES[ident][1]
+        for params in product(range(-1, 6), repeat=4):
+            applying = sum(bj.construction_applies(cid, *params) for cid in cids)
+            assert applying == (1 if precondition(*params) else 0), (ident, params)
 
 
 @pytest.mark.parametrize("cid", bj.CONSTRUCTION_IDS)
@@ -188,7 +307,7 @@ def test_inv_iv_then_map_iv_is_identity():
 
 def test_map_iv_rejects_bad_input():
     cfg = next(bj.iter_pairs("IV", 2, 1, 1, 1)).config
-    broken = bj.OuterArrangement(cfg.inner, cfg.specials, cfg.outer_blocks, "lah")
+    broken = bj.OuterArrangement(cfg.inner, cfg.specials, cfg.outer_blocks, "all")
     with pytest.raises((bj.MalformedConfiguration, InvalidParameters)):
         bj.map_iv(broken)
     with pytest.raises((bj.MalformedConfiguration, InvalidParameters)):

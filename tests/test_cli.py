@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, and content parity across formats."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlah import bijections, cli, distributions, identities, lah_core
 
@@ -238,6 +241,68 @@ def test_usage_error_exit_code(capsys):
 ])
 def test_flags_only_where_they_act(capsys, argv):
     assert run(capsys, *argv) == (2, "")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_check_jobs_below_one_is_a_usage_error(capsys, jobs):
+    assert run(capsys, "check", "--id", "connection", "--jobs", jobs) == (2, "")
+
+
+def _span(hi):
+    ends = st.integers(-2, hi)
+    return ends.map(str) | st.tuples(ends, ends).map(lambda pair: "%d..%d" % pair)
+
+
+def _value(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# each subcommand's flags with the values the fuzzer draws for them (None: a
+# switch); enumerating commands stay at n <= 3, r, s <= 2 and --jobs starts
+# no worker process
+FUZZ_FLAGS = {
+    "table": {"--n": _value(-2, 4), "--r": _value(-2, 4), "--a": _value(-2, 4),
+              "--b": _value(-2, 4)},
+    "check": {"--id": st.sampled_from(["all", "connection", "rlah_i,rlah_iv", "nope", ""]),
+              **{flag: _span(4) for flag in ("--n", "--k", "--m", "--r", "--s")},
+              "--jobs": _value(-1, 1)},
+    "oracle": {"--n": _value(-2, 3), "--r": _value(-2, 2), "--cap-override": _value(-2, 4)},
+    "constructions": {"--id": st.sampled_from(["all", "i_pos", "iv", "zzz"]),
+                      "--n": _span(3), "--k": _span(4), "--r": _span(2), "--s": _span(2),
+                      "--trace": None, "--cap-override": _value(-2, 4)},
+    "sequences": {"--n": _value(-2, 4), "--r": _value(-2, 4)},
+}
+JUNK = st.sampled_from(["--bogus", "x", "--n", "1..", "..", "-1..2", "--jobs", "--trace",
+                        "bell", "--format", "yaml"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    if command == "sequences":
+        argv.append(draw(st.sampled_from(["bell", "a000262", "r_bell", "fib"])))
+    flags = FUZZ_FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags) + ["--format"]), max_size=6)):
+        argv.append(flag)
+        if flag == "--format":
+            argv.append(draw(st.sampled_from(["text", "csv", "json"])))
+        elif flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    for token in draw(st.lists(JUNK, max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_argv())
+def test_main_fuzz_keeps_the_exit_contract(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code >= 2:
+        assert out.getvalue() == "", argv
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Per-identity checks: worked instances, precondition errors, negative controls."""
 
+import os
+
 import pytest
 
 from rlah import identities as idn
@@ -239,7 +241,7 @@ def test_inversion_delta_sequence():
 
 
 def test_sweep_empty_ranges():
-    assert idn.sweep(["CONNECTION"], n=(), r=()) == []
+    assert idn.sweep_detailed(["CONNECTION"], n=(), r=())[0] == []
 
 
 def test_sweep_skips_and_order():
@@ -252,13 +254,41 @@ def test_sweep_skips_and_order():
 
 def test_sweep_unknown_id():
     with pytest.raises(idn.InvalidParameters):
-        idn.sweep(["NOPE"])
+        idn.sweep_detailed(["NOPE"])
 
 
 def test_sweep_parallel_matches_serial():
-    serial = idn.sweep(["CONNECTION"], n=range(5), r=range(3))
-    parallel = idn.sweep(["CONNECTION"], n=range(5), r=range(3), jobs=2)
+    serial = idn.sweep_detailed(["CONNECTION"], n=range(5), r=range(3))[0]
+    parallel = idn.sweep_detailed(["CONNECTION"], n=range(5), r=range(3), jobs=2)[0]
     assert serial == parallel
+
+
+def test_sweep_runs_at_most_one_worker_per_usable_cpu(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the worker count it was asked for and starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(idn, "ProcessPoolExecutor", SerialPool)
+    serial = idn.sweep_detailed(["CONNECTION"], n=range(4), r=range(2))
+    assert idn.sweep_detailed(["CONNECTION"], n=range(4), r=range(2), jobs=100000) == serial
+    assert started == [min(100000, len(os.sched_getaffinity(0)))]
+    for jobs in (0, -1):
+        with pytest.raises(idn.InvalidParameters):
+            idn.sweep_detailed(["CONNECTION"], n=range(4), r=range(2), jobs=jobs)
+    assert len(started) == 1
 
 
 def test_corrupted_cell_fails_with_witness():
@@ -268,7 +298,7 @@ def test_corrupted_cell_fails_with_witness():
     assert not report.passed
     assert report.lhs is not None and report.rhs is not None
     assert report.lhs != report.rhs
-    reports = idn.sweep(["CONNECTION"], n=range(5), r=(1,), checker=checker)
+    reports = idn.sweep_detailed(["CONNECTION"], n=range(5), r=(1,), checker=checker)[0]
     assert any(not rep.passed for rep in reports)
 
 
