@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from . import identities, lah_core
-from .distributions import MODES, LahDistribution, enumerate_distributions, iter_arrangements
+from .distributions import (MODES, LahDistribution, enumerate_distributions, is_arrangement,
+                            iter_arrangements)
 from .identities import InvalidParameters
 
 class FixedPointError(Exception):
@@ -77,37 +78,20 @@ class OuterArrangement:
         if self.specials < 0:
             raise MalformedConfiguration("negative special count")
         self.inner.validate()
-        seen_specials = []
-        seen_blocks = []
-        for group in self.outer_blocks:
-            if not group:
-                raise MalformedConfiguration("empty outer group")
-            dist_items = 0
-            for it in group:
-                if isinstance(it, int):
-                    seen_specials.append(it)
-                    dist_items += 1
-                else:
-                    seen_blocks.append(it)
-                    if min(it) <= self.inner.r:
-                        dist_items += 1
-            if dist_items > 1:
-                raise MalformedConfiguration("two distinguished items share a group")
-            ranks = [_rank(it) for it in group]
-            if self.outer_kind == "min_first" and ranks[0] != min(ranks):
-                raise MalformedConfiguration("cycle does not lead with its smallest item")
-            if self.outer_kind == "increasing" and ranks != sorted(ranks):
-                raise MalformedConfiguration("increasing group out of order")
-        if sorted(seen_specials) != list(range(-self.specials, 0)):
-            raise MalformedConfiguration("special labels not exactly -1..-specials")
-        if len(set(seen_blocks)) != len(seen_blocks):
-            raise MalformedConfiguration("an inner block is referenced twice")
-        inner_set = set(self.inner.blocks)
-        if not set(seen_blocks) <= inner_set:
-            raise MalformedConfiguration("group references a non-existent block")
-        keys = [_group_key(g) for g in self.outer_blocks]
-        if keys != sorted(keys):
-            raise MalformedConfiguration("outer groups not in canonical order")
+        referenced = set(self.referenced_blocks())
+        arranged = tuple(b for b in self.inner.blocks if b in referenced)
+        led = sum(min(b) <= self.inner.r for b in arranged)  # distinguished blocks
+        if not is_arrangement(self.positions(tuple(range(-self.specials, 0)) + arranged),
+                              len(arranged) - led, self.specials + led, None, self.outer_kind):
+            raise MalformedConfiguration(
+                f"outer groups {self.outer_blocks} are not a canonical {self.outer_kind} "
+                f"arrangement of {self.specials} specials and inner blocks")
+
+    def positions(self, items: tuple) -> tuple:
+        """The outer groups with each item replaced by its index in ``items``
+        (-1 for an item not there)."""
+        index = {item: i for i, item in enumerate(items)}
+        return tuple(tuple(index.get(it, -1) for it in g) for g in self.outer_blocks)
 
     def text(self) -> str:
         opener, closer = ("⟨", "⟩") if self.outer_kind == "min_first" else ("(", ")")
@@ -179,10 +163,6 @@ CONSTRUCTION_IDS = tuple(_CONSTRUCTIONS)
 #: The block order that specialising a factor's weights (a, b) counts.
 _WEIGHT_MODES = {(1, 1): "all", (1, 0): "min_first", (0, 1): "increasing"}
 
-#: Whether a block follows each block order of distributions.MODES.
-_IN_MODE = {"all": lambda b: True, "min_first": lambda b: b[0] == min(b),
-            "increasing": lambda b: list(b) == sorted(b)}
-
 
 class _Family(NamedTuple):
     """The signed pairs of one construction: the term product of its
@@ -202,18 +182,19 @@ class _Family(NamedTuple):
     specials: int
     low: int
 
-    def kept(self, inner: LahDistribution) -> tuple:
-        # canonical blocks are ordered by minimum: those led by 1..r come first
-        return inner.blocks[:self.low] + inner.blocks[self.r:]
+    def items(self, inner: LahDistribution) -> tuple:
+        """The outer items in rank order: the specials, then the kept blocks
+        (canonical blocks are ordered by minimum, those led by 1..r first)."""
+        return tuple(range(-self.specials, 0)) + inner.blocks[:self.low] + inner.blocks[self.r:]
 
     def holds(self, cfg: OuterArrangement) -> bool:
-        """Whether a configuration belongs to the family."""
+        """Whether a configuration belongs to the family: ``iter_pairs``
+        yields it."""
         inner = cfg.inner
         return (inner.n == self.n and inner.r == self.r and cfg.specials == self.specials
-                and cfg.outer_kind == self.outer_mode
-                and len(cfg.outer_blocks) == self.k + self.s
-                and all(map(_IN_MODE[self.inner_mode], inner.blocks))
-                and sorted(cfg.referenced_blocks()) == sorted(self.kept(inner)))
+                and cfg.outer_kind == self.outer_mode and inner.follows(self.inner_mode)
+                and is_arrangement(cfg.positions(self.items(inner)), inner.k, self.s, self.k,
+                                   self.outer_mode))
 
 
 def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -> bool:
@@ -241,12 +222,11 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
     distributions of n+r labels are subject to the enumeration cap."""
     family = _family(construction_id, n, k, r, s)
     specials, outer_mode = family.specials, family.outer_mode
-    special_items = tuple(range(-specials, 0))
     for j in range(k, n + 1):
         sign = family.sign(n, j, k)
         for inner in enumerate_distributions(n, j, r, family.inner_mode, cap):
-            items = special_items + family.kept(inner)
-            for groups in iter_arrangements(len(items) - s, s, k, outer_mode):
+            items = family.items(inner)
+            for groups in iter_arrangements(j, s, k, outer_mode):
                 outer = tuple(tuple(items[idx] for idx in grp) for grp in groups)
                 yield SignedPair(OuterArrangement(inner, specials, outer, outer_mode), sign)
 
@@ -810,16 +790,15 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
                 involutive = False
             continue
         image = invol(pair)
-        image.config.validate()
-        if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
-            sign_reversing = False
-        if predicate(image.config) or not family.holds(image.config):
-            involutive = False
-        back = invol(image)
-        if back.config != pair.config or back.sign != pair.sign:
-            involutive = False
         if on_apply is not None:
             on_apply(pair.config, image.config)
+        if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
+            sign_reversing = False
+        if not family.holds(image.config):
+            involutive = False  # neither the predicate nor the map is defined off the family
+            continue
+        if predicate(image.config) or invol(image) != pair:
+            involutive = False
     passed = involutive and sign_reversing and signed == target and fixed == target
     return InvolutionReport(construction_id, params, total, fixed, signed, target,
                             involutive, sign_reversing, None, passed)

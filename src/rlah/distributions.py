@@ -19,6 +19,8 @@ insertion positions gives the three enumeration modes:
 Each object is produced exactly once (the parent of a distribution is
 recovered by deleting its largest label) and blocks always appear in
 ascending order of their minima, which is the canonical form.
+``is_arrangement`` accepts exactly what the generator yields; every
+validator and family-membership test calls it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .poly import Polynomial
+from .poly import ZERO, Polynomial
 
 MODES = ("all", "min_first", "increasing")
 
@@ -59,26 +61,14 @@ class LahDistribution:
         return len(self.blocks) - self.r
 
     def validate(self) -> None:
-        seen: list[int] = []
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            seen.extend(block)
-        expected = self.n + self.r
-        if sorted(seen) != list(range(1, expected + 1)):
-            raise ValueError(f"blocks do not partition 1..{expected}: {self.blocks}")
-        mins = [min(block) for block in self.blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks not in ascending order of minima")
-        distinguished_homes = [i for i, block in enumerate(self.blocks)
-                               if any(e <= self.r for e in block)]
-        per_block = [sum(1 for e in block if e <= self.r) for block in self.blocks]
-        if any(c > 1 for c in per_block):
-            raise ValueError("two distinguished labels share a block")
-        if len(distinguished_homes) != self.r:
-            raise ValueError("wrong number of distinguished blocks")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"block count {len(self.blocks)} out of range")
+        if not self.follows("all"):
+            raise ValueError(
+                f"not a canonical distribution of 1..{self.n + self.r}: {self.blocks}")
+
+    def follows(self, mode: str) -> bool:
+        """Whether this is a canonical distribution whose blocks follow ``mode``."""
+        ranks = tuple(tuple(label - 1 for label in block) for block in self.blocks)
+        return is_arrangement(ranks, self.n, self.r, None, mode)
 
     def text(self) -> str:
         """Render as e.g. ``(1,5,3)|(2,9)|(6)``."""
@@ -158,6 +148,29 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
     yield from extend((), 0)
 
 
+def is_arrangement(groups: tuple[tuple[int, ...], ...], num_ordinary: int,
+                   num_distinguished: int, k: int | None, mode: str) -> bool:
+    """Whether ``iter_arrangements`` with the same arguments yields ``groups``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if num_ordinary < 0 or num_distinguished < 0:
+        return False
+    seen: list[int] = []
+    previous = -1
+    for group in groups:
+        if not group or min(group) <= previous:
+            return False
+        previous = min(group)
+        if mode == "min_first" and group[0] != previous or (
+                mode == "increasing" and list(group) != sorted(group)):
+            return False
+        if sum(rank < num_distinguished for rank in group) > 1:
+            return False
+        seen.extend(group)
+    return (sorted(seen) == list(range(num_ordinary + num_distinguished))
+            and (k is None or len(groups) == k + num_distinguished))
+
+
 def check_cap(n: int, r: int, cap: int | None) -> None:
     """Raise SizeLimitError when enumerating n+r labels exceeds the cap."""
     limit = DEFAULT_CAP if cap is None else cap
@@ -167,10 +180,11 @@ def check_cap(n: int, r: int, cap: int | None) -> None:
             f"raise the cap explicitly to proceed")
 
 
-def enumerate_distributions(n: int, k: int, r: int, mode: str = "all",
+def enumerate_distributions(n: int, k: int | None, r: int, mode: str = "all",
                             cap: int | None = None) -> Iterator[LahDistribution]:
-    """Yield each distribution of 1..n+r with k non-distinguished blocks once."""
-    if n < 0 or k < 0 or r < 0:
+    """Yield each distribution of 1..n+r with k non-distinguished blocks
+    (any number when k is None) once."""
+    if n < 0 or r < 0 or k is not None and k < 0:
         raise ValueError("n, k, r must be nonnegative")
     check_cap(n, r, cap)
     for groups in iter_arrangements(n, r, k, mode):
@@ -178,27 +192,22 @@ def enumerate_distributions(n: int, k: int, r: int, mode: str = "all",
         yield LahDistribution(n=n, r=r, blocks=blocks)
 
 
-def oracle_g(n: int, k: int, r: int, cap: int | None = None) -> Polynomial:
-    """Brute-force weight sum over all distributions: the triangle oracle."""
-    terms: dict[tuple[int, int, int, int], int] = {}
+def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Polynomial]:
+    """Sum the weights of the finished distributions, per value of k."""
+    rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
     for dist in enumerate_distributions(n, k, r, "all", cap=cap):
         st = stats(dist)
         mono = (st.nrec, st.rec_star, 0, 0)
-        terms[mono] = terms.get(mono, 0) + 1
-    return Polynomial(terms)
+        bucket = rows.setdefault(dist.k, {})
+        bucket[mono] = bucket.get(mono, 0) + 1
+    return {j: Polynomial(terms) for j, terms in sorted(rows.items())}
+
+
+def oracle_g(n: int, k: int, r: int, cap: int | None = None) -> Polynomial:
+    """Brute-force weight sum over all distributions: the triangle oracle."""
+    return _weight_sums(n, k, r, cap).get(k, ZERO)
 
 
 def oracle_row(n: int, r: int, cap: int | None = None) -> dict[int, Polynomial]:
     """Weight sums for every k of one row, from a single enumeration pass."""
-    if n < 0 or r < 0:
-        raise ValueError("n, r must be nonnegative")
-    check_cap(n, r, cap)
-    rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
-    for groups in iter_arrangements(n, r, None, "all"):
-        blocks = tuple(tuple(rank + 1 for rank in group) for group in groups)
-        dist = LahDistribution(n=n, r=r, blocks=blocks)
-        st = stats(dist)
-        mono = (st.nrec, st.rec_star, 0, 0)
-        bucket = rows.setdefault(len(blocks) - r, {})
-        bucket[mono] = bucket.get(mono, 0) + 1
-    return {k: Polynomial(terms) for k, terms in sorted(rows.items())}
+    return _weight_sums(n, None, r, cap)

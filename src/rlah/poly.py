@@ -59,9 +59,6 @@ class Polynomial:
     def terms(self) -> dict[Monomial, int]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

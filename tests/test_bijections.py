@@ -1,5 +1,6 @@
 """Exhaustive small-scale checks of the involutions and the bijection."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -213,6 +214,26 @@ def test_image_with_a_block_out_of_order_fails(monkeypatch):
     _fails_only_membership(monkeypatch, "III_EQ", (4, 1, 1, 1), broken)
 
 
+def test_image_reusing_a_label_fails(monkeypatch):
+    # negative control: each image's last inner block also gets label 1, so
+    # the image is no distribution at all; the verifier reports FAIL and
+    # applies neither the map nor the fixed predicate (both refuse it) to it
+    def broken(pair):
+        pair.config.validate()
+        image = bj.invol_i(pair)
+        inner = image.config.inner
+        blocks = inner.blocks[:-1] + (inner.blocks[-1] + (1,),)
+        return bj.SignedPair(replace(image.config, inner=replace(inner, blocks=blocks)),
+                             image.sign)
+
+    assert bj.verify_construction("I_POS", 3, 1, 1, 0).passed
+    monkeypatch.setitem(bj._INVOLUTIONS, "I", broken)
+    monkeypatch.setitem(bj._FIXED, "I", lambda cfg: cfg.validate() or bj._is_fixed_i(cfg))
+    report = bj.verify_construction("I_POS", 3, 1, 1, 0)
+    assert report.sign_reversing and not report.involutive and not report.passed
+    assert "inv=n" in report.line() and report.line().endswith("FAIL")
+
+
 def test_constructions_partition_their_identities():
     proves = {"RLAH_I": ("I_POS",), "RLAH_I_NEG": ("I_NEG",),
               "RLAH_II": ("II_EQ", "II_MID", "II_GT"),
@@ -325,6 +346,25 @@ def test_outer_arrangement_validate_catches_duplicates():
                                   cfg.outer_kind)
     with pytest.raises(bj.MalformedConfiguration):
         doubled.validate()
+    # one special, the distinguished block (1,), and two ordinary blocks
+    inner = bj.LahDistribution(3, 1, ((1,), (2, 4), (3,)))
+    good = ((-1, (2, 4)), ((1,), (3,)))
+    for kind in ("all", "min_first", "increasing"):
+        bj.OuterArrangement(inner, 1, good, kind).validate()
+    bad = [
+        (1, good + ((),), "all"),                          # empty group
+        (1, ((-1, (1,), (2, 4)), ((3,),)), "all"),         # two distinguished items together
+        (1, ((-1, (2, 4)), ((3,), (1,))), "min_first"),    # cycle not led by its smallest
+        (1, ((-1, (2, 4)), ((3,), (1,))), "increasing"),   # increasing group out of order
+        (1, ((-2, (2, 4)), ((1,), (3,))), "all"),          # special labels not -1..-1
+        (1, ((-1, (2,)), ((1,), (3,))), "all"),            # block not in the inner distribution
+        (1, (((1,), (3,)), (-1, (2, 4))), "all"),          # groups out of canonical order
+        (1, good, "lah"),                                  # unknown kind
+        (-1, (((1,), (2, 4), (3,)),), "all"),              # negative special count
+    ]
+    for specials, groups, kind in bad:
+        with pytest.raises(bj.MalformedConfiguration):
+            bj.OuterArrangement(inner, specials, groups, kind).validate()
 
 
 def test_trace_texts():

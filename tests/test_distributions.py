@@ -1,9 +1,11 @@
 """Enumeration, record-low statistics, and the oracle against the triangles."""
 
+from itertools import combinations, permutations
+
 import pytest
 
-from rlah.distributions import (LahDistribution, SizeLimitError,
-                                enumerate_distributions, iter_arrangements,
+from rlah.distributions import (MODES, LahDistribution, SizeLimitError,
+                                enumerate_distributions, is_arrangement, iter_arrangements,
                                 oracle_g, oracle_row, record_lows, stats)
 from rlah.lah_core import g_eval, g_poly
 from rlah.poly import A, B, ONE
@@ -102,6 +104,39 @@ def test_validate_rejects_bad_objects():
         dist(2, 0, (2,), (1,)).validate()         # not sorted by minima
     with pytest.raises(ValueError):
         dist(1, 2, (1, 2), (3,)).validate()       # two distinguished together
+    with pytest.raises(ValueError):
+        dist(1, 0, (1,), ()).validate()           # empty block
+    with pytest.raises(ValueError):
+        dist(2, 0, (1,)).validate()               # label missing
+    with pytest.raises(ValueError):
+        dist(1, 0, (1, 2)).validate()             # label out of range
+    with pytest.raises(ValueError):
+        dist(2, -1, (1,)).validate()              # wrong distinguished count
+
+
+def _groupings(total):
+    """Every tuple of nonempty tuples holding each of 0..total-1 once."""
+    if total == 0:
+        yield ()
+    for perm in permutations(range(total)):
+        for cuts in range(total):
+            for inner in combinations(range(1, total), cuts):
+                bounds = (0, *inner, total)
+                yield tuple(perm[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def test_recognizer_accepts_exactly_what_the_generator_yields():
+    for total in range(6):
+        # the groupings of one rank fewer are never arrangements
+        candidates = [*_groupings(total), *_groupings(total - 1)]
+        for distinguished in range(total + 1):
+            ordinary = total - distinguished
+            for mode in MODES:
+                for k in (None, *range(-1, ordinary + 2)):
+                    accepted = {g for g in candidates
+                                if is_arrangement(g, ordinary, distinguished, k, mode)}
+                    assert accepted == set(iter_arrangements(ordinary, distinguished, k, mode)), (
+                        total, distinguished, mode, k)
 
 
 def test_enumeration_cap():
