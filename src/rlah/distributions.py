@@ -2,10 +2,14 @@
 
 A distribution here is a partition of the labels 1..n+r into nonempty
 blocks whose contents are linearly ordered, with the r smallest labels
-(the distinguished ones) lying in r distinct blocks.  ``stats`` computes
-the record-low statistics that define the weight of a distribution, and
-``oracle_g`` sums those weights by brute force -- the independent check
-against the recurrence-filled triangles in :mod:`rlah.lah_core`.
+(the distinguished ones) lying in r distinct blocks.  ``stats`` computes,
+object by object, the record-low statistics that define the weight of a
+distribution.  ``oracle_g`` sums those weights by brute force -- the
+independent check against the recurrence-filled triangles in
+:mod:`rlah.lah_core`.  It counts the record lows of each finished grouping
+in one pass over its groups, never from the insertion move that produced
+it (that would be the recurrence it checks); ``stats`` is the per-object
+definition the tests compare it with.
 
 Generation is by incremental insertion: label m+1 enters a distribution
 of 1..m either as a new singleton block, at the front of an existing
@@ -119,29 +123,34 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
         return
     total = num_ordinary + num_distinguished
     target = None if k is None else k + num_distinguished
+    if total == 0:
+        yield ()
+        return
+    last = total - 1
+    positions = {"all": lambda group: range(len(group) + 1),
+                 "min_first": lambda group: range(1, len(group) + 1),
+                 "increasing": lambda group: (len(group),)}[mode]
 
     def extend(groups: tuple[tuple[int, ...], ...], idx: int):
-        if idx == total:
-            if target is None or len(groups) == target:
-                yield groups
+        if idx == last:
+            # the children of a second-to-last node are the leaves: place the
+            # last rank here instead of descending one generator per leaf
+            if target is None or len(groups) + 1 == target:
+                yield groups + ((idx,),)
+            if idx >= num_distinguished and (target is None or len(groups) == target):
+                for gi, group in enumerate(groups):
+                    head, tail = groups[:gi], groups[gi + 1:]
+                    for p in positions(group):
+                        yield head + (group[:p] + (idx,) + group[p:],) + tail
             return
         if target is not None and len(groups) + (total - idx) < target:
             return
-        room = target is None or len(groups) < target
-        if idx < num_distinguished:
-            if room:
-                yield from extend(groups + ((idx,),), idx + 1)
-            return
-        if room:
+        if target is None or len(groups) < target:
             yield from extend(groups + ((idx,),), idx + 1)
+        if idx < num_distinguished:
+            return
         for gi, group in enumerate(groups):
-            if mode == "increasing":
-                positions: range | tuple[int, ...] = (len(group),)
-            elif mode == "min_first":
-                positions = range(1, len(group) + 1)
-            else:
-                positions = range(len(group) + 1)
-            for p in positions:
+            for p in positions(group):
                 inserted = group[:p] + (idx,) + group[p:]
                 yield from extend(groups[:gi] + (inserted,) + groups[gi + 1:], idx + 1)
 
@@ -180,26 +189,47 @@ def check_cap(n: int, r: int, cap: int | None) -> None:
             f"raise the cap explicitly to proceed")
 
 
+def _admit(n: int, k: int | None, r: int, cap: int | None) -> None:
+    """Refuse a bad or oversized request before any object is generated."""
+    if n < 0 or r < 0 or k is not None and k < 0:
+        raise ValueError("n, k, r must be nonnegative")
+    check_cap(n, r, cap)
+
+
 def enumerate_distributions(n: int, k: int | None, r: int, mode: str = "all",
                             cap: int | None = None) -> Iterator[LahDistribution]:
     """Yield each distribution of 1..n+r with k non-distinguished blocks
     (any number when k is None) once."""
-    if n < 0 or r < 0 or k is not None and k < 0:
-        raise ValueError("n, k, r must be nonnegative")
-    check_cap(n, r, cap)
+    _admit(n, k, r, cap)
     for groups in iter_arrangements(n, r, k, mode):
         blocks = tuple(tuple(rank + 1 for rank in group) for group in groups)
         yield LahDistribution(n=n, r=r, blocks=blocks)
 
 
 def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Polynomial]:
-    """Sum the weights of the finished distributions, per value of k."""
+    """Sum a^nrec b^rec* over the finished groupings, per value of k.
+
+    Record lows are counted on each grouping of ranks as ``record_lows``
+    counts them on labels (a rank is its label minus one, so every
+    comparison is the same); ``stats`` is the per-object definition the
+    tests hold this tally to.
+    """
+    _admit(n, k, r, cap)
+    total = n + r
+    counts: dict[tuple[int, int, int], int] = {}
+    for groups in iter_arrangements(n, r, k, "all"):
+        lows = 0
+        for group in groups:
+            current = total
+            for rank in group:
+                if rank < current:
+                    lows += 1
+                    current = rank
+        key = (len(groups) - r, total - lows, lows - len(groups))
+        counts[key] = counts.get(key, 0) + 1
     rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
-    for dist in enumerate_distributions(n, k, r, "all", cap=cap):
-        st = stats(dist)
-        mono = (st.nrec, st.rec_star, 0, 0)
-        bucket = rows.setdefault(dist.k, {})
-        bucket[mono] = bucket.get(mono, 0) + 1
+    for (j, nrec, rec_star), count in counts.items():
+        rows.setdefault(j, {})[(nrec, rec_star, 0, 0)] = count
     return {j: Polynomial(terms) for j, terms in sorted(rows.items())}
 
 

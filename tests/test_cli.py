@@ -139,6 +139,10 @@ def test_oracle_refuses_before_enumerating(capsys, monkeypatch):
 
     monkeypatch.setattr(distributions, "iter_arrangements", no_enumeration)
     assert run(capsys, "oracle", "--n", "6", "--r", "3", "--cap-override", "8") == (3, "")
+    # an admitted request does reach the patched name, so the refusal above
+    # is not vacuous
+    with pytest.raises(AssertionError, match="generated"):
+        run(capsys, "oracle", "--n", "1", "--r", "0")
 
 
 def test_oracle_cap_override(capsys):

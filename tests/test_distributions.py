@@ -4,11 +4,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+from rlah import distributions
 from rlah.distributions import (MODES, LahDistribution, SizeLimitError,
                                 enumerate_distributions, is_arrangement, iter_arrangements,
                                 oracle_g, oracle_row, record_lows, stats)
 from rlah.lah_core import g_eval, g_poly
-from rlah.poly import A, B, ONE
+from rlah.poly import A, B, ONE, ZERO
 
 
 def dist(n, r, *blocks):
@@ -139,19 +140,95 @@ def test_recognizer_accepts_exactly_what_the_generator_yields():
                         total, distinguished, mode, k)
 
 
-def test_enumeration_cap():
+def _parent_arrangements(num_ordinary, num_distinguished, k, mode):
+    """A recursive generator with one nested generator per object, kept as
+    the reference for the order and multiplicity of ``iter_arrangements``."""
+    if k is not None and not 0 <= k <= num_ordinary:
+        return
+    total = num_ordinary + num_distinguished
+    target = None if k is None else k + num_distinguished
+
+    def extend(groups, idx):
+        if idx == total:
+            if target is None or len(groups) == target:
+                yield groups
+            return
+        if target is not None and len(groups) + (total - idx) < target:
+            return
+        room = target is None or len(groups) < target
+        if idx < num_distinguished:
+            if room:
+                yield from extend(groups + ((idx,),), idx + 1)
+            return
+        if room:
+            yield from extend(groups + ((idx,),), idx + 1)
+        for gi, group in enumerate(groups):
+            if mode == "increasing":
+                positions = (len(group),)
+            elif mode == "min_first":
+                positions = range(1, len(group) + 1)
+            else:
+                positions = range(len(group) + 1)
+            for p in positions:
+                inserted = group[:p] + (idx,) + group[p:]
+                yield from extend(groups[:gi] + (inserted,) + groups[gi + 1:], idx + 1)
+
+    yield from extend((), 0)
+
+
+def test_generator_order_and_multiplicity_match_the_reference():
+    for total in range(7):
+        for distinguished in range(total + 1):
+            ordinary = total - distinguished
+            for mode in MODES:
+                for k in (None, *range(-1, ordinary + 2)):
+                    assert (list(iter_arrangements(ordinary, distinguished, k, mode))
+                            == list(_parent_arrangements(ordinary, distinguished, k, mode))), (
+                        total, distinguished, mode, k)
+
+
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(SizeLimitError):
         list(enumerate_distributions(7, 1, 3))
     # k = n keeps the pruned search tiny even past the default cap
     roomy = list(enumerate_distributions(10, 10, 0, cap=12))
     assert len(roomy) == 1
+    for bad in (lambda: oracle_g(2, -1, 0), lambda: oracle_row(-1, 0),
+                lambda: oracle_row(0, -1)):
+        with pytest.raises(ValueError):
+            bad()
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an object was generated before the cap refusal")
+
+    monkeypatch.setattr(distributions, "iter_arrangements", no_enumeration)
     with pytest.raises(SizeLimitError):
         oracle_g(8, 1, 2)
+    with pytest.raises(SizeLimitError):
+        oracle_row(8, 2)
 
 
 def test_oracle_values():
     assert oracle_g(1, 1, 0) == ONE
     assert oracle_g(2, 1, 0) == A + B
+
+
+def _reference_row(n, r):
+    """The per-object weight sums the oracle's tally must reproduce."""
+    row = {}
+    for d in enumerate_distributions(n, None, r):
+        st = stats(d)
+        row[d.k] = row.get(d.k, ZERO) + A ** st.nrec * B ** st.rec_star
+    return row
+
+
+def test_oracle_tally_matches_per_object_stats():
+    for r in range(4):
+        for n in range(7 - r):
+            reference = _reference_row(n, r)
+            assert oracle_row(n, r) == reference, (n, r)
+            for k in range(n + 1):
+                assert oracle_g(n, k, r) == reference.get(k, ZERO), (n, k, r)
 
 
 def test_oracle_matches_triangle_small():
