@@ -8,7 +8,10 @@ over 1..n+r whose blocks follow the first factor's weights, and an outer
 arrangement of its blocks following the second's ((1, 1) any order,
 (1, 0) min-first "cycles", (0, 1) increasing), signed by the identity's
 sign and padded as needed with special singleton items labelled -1, -2,
-...  The involutions' survivor sets realize the identity's closed side.
+...  The involutions' survivor sets realize the identity's closed side;
+for II and III the verifier relabels each survivor as a distribution at
+level 2r - s (min-first blocks) or 2s - r (increasing blocks) and checks
+that the survivors are exactly those distributions, not merely as many.
 
 The involutions move mass between adjacent items of one outer group (or
 one section of a group, for the special-singleton variants), flipping
@@ -22,8 +25,9 @@ by any group are exempt from the arrangement (the left-out blocks, and
 the distinguished cycles of IV).
 
 Trace text renders a configuration as its outer groups joined by ``|``,
-cycle groups in angle brackets, special items as ``[-i]``, with exempt
-blocks after a double bar, e.g. ``⟨(1,3),(7)⟩|([-1],(5))  ‖ (2,4)``.
+min-first groups in angle brackets and the others in parentheses,
+special items as ``[-i]``, with exempt blocks after a double bar, e.g.
+``⟨[-1]⟩|⟨(3,1)⟩|⟨(2)⟩`` (II_MID) or ``((1,4))|((3))  ‖ (2)`` (III_MID).
 """
 
 from __future__ import annotations
@@ -324,13 +328,8 @@ def invol_i(pair: SignedPair) -> SignedPair:
     with specials, non-special blocks first, then the left and right
     sections around each special singleton in index order."""
     cfg = pair.config
-    if cfg.specials == 0:
-        for gi, group in enumerate(cfg.outer_blocks):
-            if _elements(group) >= 2:
-                return SignedPair(_with_group(cfg, gi, _seg_step(group)), -pair.sign)
-        raise FixedPointError("every outer block holds one singleton")
     for gi, group in enumerate(cfg.outer_blocks):
-        if any(isinstance(it, int) for it in group):
+        if cfg.specials and any(isinstance(it, int) for it in group):
             continue
         if _elements(group) >= 2:
             return SignedPair(_with_group(cfg, gi, _seg_step(group)), -pair.sign)
@@ -359,8 +358,6 @@ def invol_ii(pair: SignedPair) -> SignedPair:
             continue
         if _cycle_bad(group):
             return SignedPair(_with_group(cfg, gi, _cycle_step(group)), -pair.sign)
-    if cfg.specials == 0:
-        raise FixedPointError("every cycle is a single min-first block")
     for i0 in range(1, cfg.specials + 1):
         gi, _ = _locate_special(cfg, -i0)
         group = cfg.outer_blocks[gi]
@@ -510,81 +507,60 @@ def closed_form(construction_id: str, n: int, k: int, r: int, s: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# survivor normalization to plain distributions
+# survivors as plain distributions
 
 
-def survivor_distribution(construction_id: str, cfg: OuterArrangement) -> LahDistribution:
-    """Rewrite a survivor as the distribution the construction certifies.
+def _cycle_survivor(family: _Family, cfg: OuterArrangement) -> tuple:
+    """The min-first blocks at level 2r - s that a II survivor stands for:
+    the singleton blocks of the labels 1..specials go, and each left-out
+    block, led by some l in low+1..r, is cut before l, the cut-off prefix
+    becoming the block of a new distinguished label."""
+    r, drop, extra = family.r, family.specials, family.r - family.low
 
-    II survivors land in the min-first family at level 2r-s, III
-    survivors in the increasing family at level 2s-r.  The relabelling
-    materializes the label shifts so survivor sets can be compared to
-    directly enumerated distributions, not merely counted.
-    """
-    n = cfg.inner.n
-    r = cfg.inner.r
-    if construction_id == "II_EQ":
-        return cfg.inner
-    if construction_id == "II_MID":
-        drop = cfg.specials  # the blocks {1}..{specials} disappear
-        blocks = tuple(tuple(e - drop for e in b) for b in cfg.inner.blocks
-                       if b not in {(i,) for i in range(1, drop + 1)})
-        return LahDistribution(n, r - drop, blocks)
-    if construction_id == "II_GT":
-        s = r - len(cfg.exempt_blocks())
-        shift = r - s
-        blocks = []
-        for block in cfg.inner.blocks:
-            low = min(block)
-            moved = tuple(e + shift if e > r else e for e in block)
-            if s < low <= r:
-                cut = moved.index(low)
-                blocks.append((low + shift,) + moved[:cut])
-                blocks.append(moved[cut:])
-            else:
-                blocks.append(moved)
-        blocks.sort(key=min)
-        return LahDistribution(n, 2 * r - s, tuple(blocks))
-    if construction_id == "III_EQ":
-        blocks = tuple(tuple(it[0] for it in g) for g in cfg.outer_blocks)
-        return LahDistribution(n, r, blocks)
-    if construction_id == "III_LT":
-        extra = cfg.specials  # s - r
-        # labels 1..2*extra go to the broken-up special blocks; everything
-        # already present (old distinguished and ordinary alike) moves up
-        shift = 2 * extra
-        blocks = []
-        for group in cfg.outer_blocks:
-            pos = next((i for i, it in enumerate(group) if isinstance(it, int)), None)
-            if pos is None:
-                blocks.append(tuple(it[0] + shift for it in group))
-            else:
-                i0 = -group[pos]
-                blocks.append((2 * i0,) + tuple(it[0] + shift for it in group[:pos]))
-                blocks.append((2 * i0 - 1,) + tuple(it[0] + shift for it in group[pos + 1:]))
-        blocks.sort(key=min)
-        return LahDistribution(n, 2 * extra + r, tuple(blocks))
-    if construction_id == "III_MID":
-        s = r - len(cfg.exempt_blocks())
-        drop = r - s
-        blocks = []
-        for group in cfg.outer_blocks:
-            values = [it[0] for it in group]
-            if len(values) == 1 and 1 <= values[0] <= drop:
-                continue
-            blocks.append(tuple(e - drop if e <= r else e - 2 * drop for e in values))
-        blocks.sort(key=min)
-        return LahDistribution(n, 2 * s - r, tuple(blocks))
-    raise InvalidParameters(f"no survivor normalization for {construction_id}")
+    def label(e: int) -> int:
+        return e - drop + (extra if e > r else 0)
+
+    blocks = []
+    for block in cfg.inner.blocks:
+        lead = min(block)
+        if lead <= drop:
+            continue
+        moved = tuple(map(label, block))
+        if family.low < lead <= r:
+            cut = block.index(lead)
+            blocks += [(label(lead) + extra,) + moved[:cut], moved[cut:]]
+        else:
+            blocks.append(moved)
+    return tuple(sorted(blocks, key=min))
 
 
-def iter_survivors(construction_id: str, n: int, k: int, r: int, s: int
-                   ) -> Iterator[OuterArrangement]:
-    family = construction_id.split("_")[0]
-    predicate = _FIXED[family]
-    for pair in iter_pairs(construction_id, n, k, r, s):
-        if predicate(pair.config):
-            yield pair.config
+def _subset_survivor(family: _Family, cfg: OuterArrangement) -> tuple:
+    """The increasing blocks at level 2s - r that a III survivor stands for:
+    each outer group becomes the block of its labels, a group holding the
+    special -i splits there into blocks led by the new labels 2i and
+    2i - 1, and the groups of the labels 1..r-low go (with the left-out
+    blocks, which no group holds)."""
+    r, added, drop = family.r, family.specials, family.r - family.low
+
+    def relabel(items) -> tuple:
+        return tuple(e + 2 * added - (drop if e <= r else 2 * drop) for it in items for e in it)
+
+    blocks = []
+    for group in cfg.outer_blocks:
+        pos = next((i for i, it in enumerate(group) if isinstance(it, int)), None)
+        if pos is not None:
+            i = -group[pos]
+            blocks += [(2 * i,) + relabel(group[:pos]), (2 * i - 1,) + relabel(group[pos + 1:])]
+        elif min(map(min, group)) > drop:
+            blocks.append(relabel(group))
+    return tuple(sorted(blocks, key=min))
+
+
+#: The identities whose survivors are plain distributions: the block order
+#: and the level (a function of r, s) of those distributions, and the
+#: relabelling that takes a survivor to its distribution's blocks.
+_SURVIVORS = {"RLAH_II": ("min_first", lambda r, s: 2 * r - s, _cycle_survivor),
+              "RLAH_III": ("increasing", lambda r, s: 2 * s - r, _subset_survivor)}
 
 
 # ----------------------------------------------------------------------
@@ -738,15 +714,18 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
 
     For the involutions: every image lies in the pair family, double
     application is the identity off the fixed set, the sign flips and is
-    the family's sign at the image, the declarative fixed predicate count
-    and the signed sum both match the closed form.  For IV: round trips in both directions, injectivity (via
-    an image set), and image cardinality equal to the closed form, which
-    certifies bijectivity.
+    the family's sign at the image, and the declarative fixed predicate
+    count and the signed sum both match the closed form; for II and III,
+    the survivors relabel one-to-one onto the distributions the closed
+    side counts.  For IV: every image lies in the codomain and ``inv_iv``
+    takes it back to its pair, the images are distinct (an image set),
+    and their number equals the closed form, which certifies bijectivity.
     """
     family = _family(construction_id, n, k, r, s)
     target = closed_form(construction_id, n, k, r, s)
     params = (n, k, r, s)
     if construction_id == "IV":
+        mid = (r + s) // 2
         total = 0
         round_trips = True
         injective = True
@@ -754,13 +733,13 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         for pair in iter_pairs(construction_id, n, k, r, s, cap):
             total += 1
             image = map_iv(pair.config)
-            if image.k != k or image.r != (r + s) // 2:
-                round_trips = False
             key = image.blocks
             if key in images:
                 injective = False
             images.add(key)
-            if inv_iv(image, r, s) != pair.config:
+            # inv_iv is not defined off the codomain
+            if not (image.n == n and image.r == mid and image.k == k and image.follows("all")
+                    and inv_iv(image, r, s) == pair.config):
                 round_trips = False
             if on_apply is not None:
                 on_apply(pair.config, image)
@@ -772,6 +751,9 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     kind = construction_id.split("_")[0]
     invol = _INVOLUTIONS[kind]
     predicate = _FIXED[kind]
+    mode, level_of, relabel = _SURVIVORS.get(_CONSTRUCTIONS[construction_id][0],
+                                             (None, None, None))
+    survivors = set()
     total = fixed = signed = 0
     involutive = True
     sign_reversing = True
@@ -782,6 +764,8 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
             fixed += 1
             if pair.sign != 1:
                 sign_reversing = False
+            if relabel is not None:
+                survivors.add(relabel(family, pair.config))
             try:
                 invol(pair)
             except FixedPointError:
@@ -800,5 +784,11 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         if predicate(image.config) or invol(image) != pair:
             involutive = False
     passed = involutive and sign_reversing and signed == target and fixed == target
+    if passed and relabel is not None:
+        # the closed side counts these distributions, and the signed sum of
+        # the pairs already enumerated equals it: no cap on n + level
+        level = level_of(r, s)
+        passed = len(survivors) == fixed and survivors == {
+            d.blocks for d in enumerate_distributions(n, k, level, mode, n + level)}
     return InvolutionReport(construction_id, params, total, fixed, signed, target,
                             involutive, sign_reversing, None, passed)

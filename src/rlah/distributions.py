@@ -198,12 +198,13 @@ def _admit(n: int, k: int | None, r: int, cap: int | None) -> None:
 
 def enumerate_distributions(n: int, k: int | None, r: int, mode: str = "all",
                             cap: int | None = None) -> Iterator[LahDistribution]:
-    """Yield each distribution of 1..n+r with k non-distinguished blocks
-    (any number when k is None) once."""
+    """Each distribution of 1..n+r with k non-distinguished blocks (any
+    number when k is None) once; a bad or oversized request is refused by
+    the call itself, not at the first object."""
     _admit(n, k, r, cap)
-    for groups in iter_arrangements(n, r, k, mode):
-        blocks = tuple(tuple(rank + 1 for rank in group) for group in groups)
-        yield LahDistribution(n=n, r=r, blocks=blocks)
+    return (LahDistribution(n=n, r=r, blocks=tuple(tuple(rank + 1 for rank in group)
+                                                   for group in groups))
+            for groups in iter_arrangements(n, r, k, mode))
 
 
 def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Polynomial]:

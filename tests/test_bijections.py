@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from rlah import bijections as bj
+from rlah import cli
 from rlah.distributions import enumerate_distributions
 from rlah.identities import IDENTITIES, InvalidParameters
 from rlah.lah_core import g_eval
@@ -267,23 +268,40 @@ def test_invalid_parameters():
 # ----------------------------------------------------------------------
 # survivor sets against direct enumeration
 
-SET_CASES = [("II_EQ", "min_first"), ("II_MID", "min_first"), ("II_GT", "min_first"),
-             ("III_EQ", "increasing"), ("III_LT", "increasing"), ("III_MID", "increasing")]
+
+@pytest.mark.parametrize("cid,params", [
+    ("II_EQ", (2, 1, 1, 1)), ("II_MID", (3, 2, 1, 2)), ("II_GT", (2, 1, 2, 1)),
+    ("III_EQ", (2, 1, 1, 1)), ("III_LT", (2, 1, 0, 1)), ("III_MID", (3, 2, 2, 1))])
+def test_survivor_relabelled_onto_another_fails(monkeypatch, capsys, cid, params):
+    # negative control: a relabelling that is right except that it sends one
+    # survivor onto another survivor's distribution; counts, signs and
+    # involutivity all hold, so only the survivor set can fail the report
+    identity = bj._CONSTRUCTIONS[cid][0]
+    mode, level, relabel = bj._SURVIVORS[identity]
+    predicate = bj._FIXED[cid.split("_")[0]]
+    first, second = [p.config for p in bj.iter_pairs(cid, *params) if predicate(p.config)][:2]
+
+    def broken(family, cfg):
+        return relabel(family, second if cfg == first else cfg)
+
+    assert bj.verify_construction(cid, *params).passed
+    monkeypatch.setitem(bj._SURVIVORS, identity, (mode, level, broken))
+    report = bj.verify_construction(cid, *params)
+    assert report.involutive and report.sign_reversing
+    assert report.signed_sum == report.fixed_points == report.closed_form
+    assert not report.passed
+    n, k, r, s = map(str, params)
+    assert cli.main(["constructions", "--id", cid.lower(), "--n", n, "--k", k,
+                     "--r", r, "--s", s]) == 1
+    assert capsys.readouterr().out.endswith("inv=y sign=y FAIL\n")
 
 
-@pytest.mark.parametrize("cid,mode", SET_CASES)
-def test_survivors_biject_with_distributions(cid, mode):
-    for n, k, r, s in applying(cid):
-        level = 2 * r - s if cid.startswith("II_") else 2 * s - r
-        produced = set()
-        for cfg in bj.iter_survivors(cid, n, k, r, s):
-            image = bj.survivor_distribution(cid, cfg)
-            image.validate()
-            assert image.n == n and image.r == level and image.k == k
-            assert image.blocks not in produced
-            produced.add(image.blocks)
-        expected = {d.blocks for d in enumerate_distributions(n, k, level, mode)}
-        assert produced == expected
+@pytest.mark.parametrize("cid,params,cap", [("II_GT", (2, 1, 2, 0), 4),
+                                            ("III_LT", (2, 1, 0, 2), 2)])
+def test_survivor_level_is_not_capped(cid, params, cap):
+    # n + r is within the cap, n + level (2r - s or 2s - r) is not
+    report = bj.verify_construction(cid, *params, cap=cap)
+    assert report.passed and report.fixed_points == 9
 
 
 def test_fixed_points_carry_positive_sign():
@@ -333,6 +351,21 @@ def test_map_iv_rejects_bad_input():
         bj.map_iv(broken)
     with pytest.raises((bj.MalformedConfiguration, InvalidParameters)):
         bj.inv_iv(next(enumerate_distributions(2, 1, 1)), 1, 3)  # wrong level
+
+
+@pytest.mark.parametrize("outside", [
+    lambda image: replace(image, r=image.r - 1),                 # one level lower
+    lambda image: replace(image, blocks=image.blocks[::-1])])    # blocks out of order
+def test_map_iv_image_outside_the_codomain_fails(monkeypatch, capsys, outside):
+    # negative control: inv_iv is not defined on such an image, so the
+    # verifier reports FAIL instead of applying it
+    map_iv = bj.map_iv
+    monkeypatch.setattr(bj, "map_iv", lambda cfg: outside(map_iv(cfg)))
+    report = bj.verify_construction("IV", 2, 1, 1, 1)
+    assert not report.involutive and not report.passed
+    assert cli.main(["constructions", "--id", "iv", "--n", "2", "--k", "1",
+                     "--r", "1", "--s", "1"]) == 1
+    assert capsys.readouterr().out.endswith("FAIL\n")
 
 
 # ----------------------------------------------------------------------
