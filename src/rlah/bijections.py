@@ -591,7 +591,9 @@ def _concat_desc(cycles) -> tuple[int, ...]:
 
 def map_iv(cfg: OuterArrangement) -> LahDistribution:
     """Flatten an (inner cycles, outer arrangement) pair into a single
-    distribution at the averaged distinguished level (r+s)/2."""
+    distribution at the averaged distinguished level (r+s)/2.  The input
+    is validated, the output is not: the verifier's codomain test is its
+    check."""
     cfg.validate()
     r = cfg.inner.r
     s = cfg.specials
@@ -636,13 +638,13 @@ def map_iv(cfg: OuterArrangement) -> LahDistribution:
 
         relabeled = tuple(tuple(relabel(e) for e in blk) for blk in out)
     blocks = tuple(sorted(relabeled, key=min))
-    image = LahDistribution(n, mid, blocks)
-    image.validate()
-    return image
+    return LahDistribution(n, mid, blocks)
 
 
 def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
-    """Rebuild the unique pre-image of a distribution under map_iv."""
+    """Rebuild the unique pre-image of a distribution under map_iv.  The
+    input is validated, the output is not: the verifier compares it with
+    the enumerated pair."""
     if (r - s) % 2:
         raise InvalidParameters("r and s must have the same parity")
     mid = (r + s) // 2
@@ -698,13 +700,19 @@ def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
     groups = [(-i,) + tuple(sorted(special_cycles[i], key=min)) for i in range(1, s + 1)]
     groups.extend(tuple(sorted(grp, key=min)) for grp in plain_groups)
     groups.sort(key=_group_key)
-    cfg = OuterArrangement(inner, s, tuple(groups), "increasing")
-    cfg.validate()
-    return cfg
+    return OuterArrangement(inner, s, tuple(groups), "increasing")
 
 
 # ----------------------------------------------------------------------
 # verification
+
+
+def _image(invol, pair: SignedPair) -> SignedPair | None:
+    """The map's image of a pair, or None where it raises FixedPointError."""
+    try:
+        return invol(pair)
+    except FixedPointError:
+        return None
 
 
 def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
@@ -712,14 +720,26 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
                         cap: int | None = None) -> InvolutionReport:
     """Enumerate one construction, exercise its map, and check every claim.
 
-    For the involutions: every image lies in the pair family, double
-    application is the identity off the fixed set, the sign flips and is
-    the family's sign at the image, and the declarative fixed predicate
-    count and the signed sum both match the closed form; for II and III,
-    the survivors relabel one-to-one onto the distributions the closed
-    side counts.  For IV: every image lies in the codomain and ``inv_iv``
-    takes it back to its pair, the images are distinct (an image set),
-    and their number equals the closed form, which certifies bijectivity.
+    For the involutions: the declarative fixed predicate's count and the
+    signed sum both match the closed form, every fixed pair has sign +1
+    and the map raises ``FixedPointError`` on it; for II and III, the
+    survivors relabel one-to-one onto the distributions the closed side
+    counts.  The map is applied to each non-fixed pair of sign +1 only:
+    its image must lie in the pair family, have sign -1 (the family's
+    sign at the image), fail the fixed predicate and map back to the
+    pair; a ``FixedPointError`` from either application counts as not
+    involutive.  That checks every 2-orbit once and is still complete: a
+    PASS needs ``signed == fixed == target`` with every fixed pair
+    positive, so there are as many positive non-fixed pairs as negative
+    ones; the images of the positive pairs are distinct (each maps back
+    to its own pair) non-fixed members of sign -1, so they are all of the
+    negative pairs, and the map has been checked on each of them.  With
+    ``on_apply`` a negative pair is mapped too, only to report it; the
+    verdict does not depend on ``on_apply``.
+
+    For IV: every image lies in the codomain and ``inv_iv`` takes it back
+    to its pair, the images are distinct (an image set), and their number
+    equals the closed form, which certifies bijectivity.
     """
     family = _family(construction_id, n, k, r, s)
     target = closed_form(construction_id, n, k, r, s)
@@ -766,22 +786,25 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
                 sign_reversing = False
             if relabel is not None:
                 survivors.add(relabel(family, pair.config))
-            try:
-                invol(pair)
-            except FixedPointError:
-                pass
-            else:
+            if _image(invol, pair) is not None:
                 involutive = False
             continue
-        image = invol(pair)
-        if on_apply is not None:
+        if pair.sign < 0 and on_apply is None:
+            continue  # checked as the image of a positive pair
+        image = _image(invol, pair)
+        if image is not None and on_apply is not None:
             on_apply(pair.config, image.config)
+        if pair.sign < 0:
+            continue  # mapped only for the trace line
+        if image is None:
+            involutive = False
+            continue
         if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
             sign_reversing = False
         if not family.holds(image.config):
             involutive = False  # neither the predicate nor the map is defined off the family
             continue
-        if predicate(image.config) or invol(image) != pair:
+        if predicate(image.config) or _image(invol, image) != pair:
             involutive = False
     passed = involutive and sign_reversing and signed == target and fixed == target
     if passed and relabel is not None:

@@ -202,6 +202,8 @@ def enumerate_distributions(n: int, k: int | None, r: int, mode: str = "all",
     number when k is None) once; a bad or oversized request is refused by
     the call itself, not at the first object."""
     _admit(n, k, r, cap)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     return (LahDistribution(n=n, r=r, blocks=tuple(tuple(rank + 1 for rank in group)
                                                    for group in groups))
             for groups in iter_arrangements(n, r, k, mode))

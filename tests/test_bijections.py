@@ -235,6 +235,172 @@ def test_image_reusing_a_label_fails(monkeypatch):
     assert "inv=n" in report.line() and report.line().endswith("FAIL")
 
 
+# ----------------------------------------------------------------------
+# the sign-directed check: the map is applied to the positive pairs only
+
+INVOLUTION_CASES = [(cid, params) for cid in bj.CONSTRUCTION_IDS if cid != "IV"
+                    for params in applying(cid)]
+
+
+def _wrong_on_negatives(monkeypatch, kind, pairs):
+    """Right on pairs of sign +1; sends each pair of sign -1 to a family
+    member of sign +1 other than its true image."""
+    invol = bj._INVOLUTIONS[kind]
+    positives = [p for p in pairs if p.sign > 0]
+
+    def broken(pair):
+        image = invol(pair)
+        if pair.sign > 0:
+            return image
+        return positives[(positives.index(image) + 1) % len(positives)]
+    monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
+
+
+def _raising_on_negatives(monkeypatch, kind, pairs):
+    """Right on pairs of sign +1; raises FixedPointError on pairs of sign -1."""
+    invol = bj._INVOLUTIONS[kind]
+
+    def broken(pair):
+        if pair.sign < 0:
+            raise bj.FixedPointError("control")
+        return invol(pair)
+    monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
+
+
+def _missing_a_fixed_point(monkeypatch, kind, pairs):
+    """A fixed predicate that rejects one genuine fixed point, on which the
+    map raises FixedPointError."""
+    predicate = bj._FIXED[kind]
+    dropped = next(p.config for p in pairs if predicate(p.config))
+    monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg != dropped and predicate(cfg))
+
+
+def _orbit_taken_as_fixed(monkeypatch, kind, pairs):
+    """A fixed predicate that also accepts one positive non-fixed pair, and a
+    map that raises FixedPointError on that pair and on its image: the map
+    agrees with the predicate, but the fixed count is one too large.  No
+    positive pair maps to that image, so only a trace line applies the map
+    to it."""
+    invol, predicate = bj._INVOLUTIONS[kind], bj._FIXED[kind]
+    extra = next(p for p in pairs if p.sign > 0 and not predicate(p.config))
+    orbit = {extra, invol(extra)}
+
+    def broken(pair):
+        if pair in orbit:
+            raise bj.FixedPointError("control")
+        return invol(pair)
+    monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg == extra.config or predicate(cfg))
+    monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
+
+
+#: control -> (construction, parameters, installer, end of the report line)
+SIGN_CONTROLS = {
+    "wrong-on-negatives": ("I_POS", (3, 1, 1, 0), _wrong_on_negatives, "inv=n sign=y FAIL"),
+    "raising-on-negatives": ("III_EQ", (3, 1, 1, 1), _raising_on_negatives,
+                             "inv=n sign=y FAIL"),
+    "missed-fixed-point": ("I_POS", (2, 1, 1, 0), _missing_a_fixed_point, "inv=n sign=y FAIL"),
+    "orbit-taken-as-fixed": ("I_POS", (3, 1, 1, 0), _orbit_taken_as_fixed, "inv=y sign=y FAIL"),
+}
+
+
+def _install(monkeypatch, control):
+    cid, params, install, _ = SIGN_CONTROLS[control]
+    install(monkeypatch, cid.split("_")[0], list(bj.iter_pairs(cid, *params)))
+    return cid, params
+
+
+def test_wrong_on_negatives_is_wrong_only_there(monkeypatch):
+    cid, params = _install(monkeypatch, "wrong-on-negatives")
+    broken = bj._INVOLUTIONS["I"]
+    family = set(bj.iter_pairs(cid, *params))
+    negatives = 0
+    for pair in family:
+        if bj._is_fixed_i(pair.config):
+            continue
+        image = broken(pair)
+        if pair.sign > 0:
+            assert image == bj.invol_i(pair)
+            continue
+        negatives += 1
+        assert image != bj.invol_i(pair) and image.sign == 1 and image in family
+    assert negatives
+
+
+@pytest.mark.parametrize("control", SIGN_CONTROLS)
+def test_sign_directed_controls_fail(monkeypatch, capsys, control):
+    # negative controls: the map is applied to the positive pairs, so a map
+    # broken only on the negative pairs must fail through the check that
+    # maps each image back, and a FixedPointError is a FAIL, not a traceback
+    cid, params, _, ending = SIGN_CONTROLS[control]
+    assert bj.verify_construction(cid, *params).passed
+    _install(monkeypatch, control)
+    report = bj.verify_construction(cid, *params)
+    assert not report.passed and report.line().endswith(ending)
+    argv = ["constructions", "--id", cid.lower()]
+    for name, value in zip("nkrs", params):
+        argv += [f"--{name}", str(value)]
+    for trace in ([], ["--trace"]):
+        assert cli.main(argv + trace) == 1
+        assert capsys.readouterr().out.endswith(ending + "\n")
+
+
+def _two_visit_report(cid, n, k, r, s):
+    """Reference verdict: the map applied to every non-fixed pair and again
+    to its image, so each 2-orbit is checked from both of its pairs."""
+    family = bj._family(cid, n, k, r, s)
+    target = bj.closed_form(cid, n, k, r, s)
+    kind = cid.split("_")[0]
+    invol, predicate = bj._INVOLUTIONS[kind], bj._FIXED[kind]
+    mode, level_of, relabel = bj._SURVIVORS.get(bj._CONSTRUCTIONS[cid][0], (None, None, None))
+    survivors = set()
+    total = fixed = signed = 0
+    involutive = sign_reversing = True
+    for pair in bj.iter_pairs(cid, n, k, r, s):
+        total += 1
+        signed += pair.sign
+        if predicate(pair.config):
+            fixed += 1
+            sign_reversing = sign_reversing and pair.sign == 1
+            if relabel is not None:
+                survivors.add(relabel(family, pair.config))
+            try:
+                invol(pair)
+            except bj.FixedPointError:
+                pass
+            else:
+                involutive = False
+            continue
+        image = invol(pair)
+        if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
+            sign_reversing = False
+        if not family.holds(image.config):
+            involutive = False
+        elif predicate(image.config) or invol(image) != pair:
+            involutive = False
+    passed = involutive and sign_reversing and signed == fixed == target
+    if passed and relabel is not None:
+        level = level_of(r, s)
+        passed = len(survivors) == fixed and survivors == {
+            d.blocks for d in enumerate_distributions(n, k, level, mode, n + level)}
+    return bj.InvolutionReport(cid, (n, k, r, s), total, fixed, signed, target,
+                               involutive, sign_reversing, None, passed)
+
+
+def test_sign_directed_verdict_matches_the_two_visit_reference():
+    for cid, params in INVOLUTION_CASES:
+        report = bj.verify_construction(cid, *params)
+        assert report == _two_visit_report(cid, *params)
+        assert report.passed, report.line()
+
+
+@pytest.mark.parametrize("control", [None, *SIGN_CONTROLS])
+def test_trace_callback_does_not_change_the_verdict(monkeypatch, control):
+    cases = INVOLUTION_CASES if control is None else [_install(monkeypatch, control)]
+    for cid, params in cases:
+        traced = bj.verify_construction(cid, *params, on_apply=lambda before, after: None)
+        assert traced == bj.verify_construction(cid, *params)
+
+
 def test_constructions_partition_their_identities():
     proves = {"RLAH_I": ("I_POS",), "RLAH_I_NEG": ("I_NEG",),
               "RLAH_II": ("II_EQ", "II_MID", "II_GT"),

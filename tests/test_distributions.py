@@ -194,7 +194,8 @@ def test_enumeration_cap(monkeypatch):
     roomy = list(enumerate_distributions(10, 10, 0, cap=12))
     assert len(roomy) == 1
     for bad in (lambda: oracle_g(2, -1, 0), lambda: oracle_row(-1, 0),
-                lambda: oracle_row(0, -1), lambda: enumerate_distributions(-1, 0, 0)):
+                lambda: oracle_row(0, -1), lambda: enumerate_distributions(-1, 0, 0),
+                lambda: enumerate_distributions(1, 0, 0, "bogus")):
         with pytest.raises(ValueError):
             bad()
     with pytest.raises(SizeLimitError):
