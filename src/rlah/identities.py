@@ -184,18 +184,31 @@ def check_convolution(n: int, k: int, m: int, r: int, s: int,
     return _report("CONVOLUTION", params, lhs, rhs)
 
 
+def _split_sum(c: Checker, n: int, m: int, r: int,
+               inner_cell: Callable[[int, int], Polynomial]) -> Polynomial:
+    """sum_{i,j} C(n,i) G(m,j;r) inner_cell(i,j) prod_{l<n-i}(a(m+r+l) + b(j+r)),
+    summed over i inside each j: the outer cell does not depend on i."""
+    rhs = ZERO
+    for j in range(m + 1):
+        outer = c.g(m, j, r)
+        if not outer:
+            continue
+        base = A * (m + r) + B * (j + r)
+        inner = ZERO
+        for i in range(n + 1):
+            cell = inner_cell(i, j)
+            if cell:
+                inner = inner + binomial(n, i) * cell * range_product(base, A, n - i)
+        rhs = rhs + outer * inner
+    return rhs
+
+
 def check_splitting(n: int, m: int, k: int, r: int,
                     checker: Checker | None = None) -> CheckReport:
     """G(n+m,k;r) split by how many of the top n elements join the bottom m+r."""
     params = _params("SPLITTING", n, m, k, r)
     c = _store(checker)
-    rhs = ZERO
-    for i in range(n + 1):
-        for j in range(m + 1):
-            factor = binomial(n, i) * c.g(m, j, r) * c.g(i, k - j, 0)
-            if factor:
-                tail = range_product(A * (m + r) + B * (j + r), A, n - i)
-                rhs = rhs + factor * tail
+    rhs = _split_sum(c, n, m, r, lambda i, j: c.g(i, k - j, 0))
     return _report("SPLITTING", params, c.g(n + m, k, r), rhs)
 
 
@@ -211,13 +224,7 @@ def check_rowsum_shift(n: int, r: int, s: int, checker: Checker | None = None) -
 def check_rowsum_split(n: int, m: int, r: int, checker: Checker | None = None) -> CheckReport:
     params = _params("ROWSUM_SPLIT", n, m, r)
     c = _store(checker)
-    rhs = ZERO
-    for i in range(n + 1):
-        for j in range(m + 1):
-            factor = binomial(n, i) * c.g(m, j, r) * c.row_sum(i, 0)
-            if factor:
-                tail = range_product(A * (m + r) + B * (j + r), A, n - i)
-                rhs = rhs + factor * tail
+    rhs = _split_sum(c, n, m, r, lambda i, j: c.row_sum(i, 0))
     return _report("ROWSUM_SPLIT", params, c.row_sum(n + m, r), rhs)
 
 

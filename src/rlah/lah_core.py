@@ -20,7 +20,7 @@ them, and every reader goes through it unless handed a store of its own.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import comb
 from typing import Callable
 
 from .poly import A, B, ONE, T, X, ZERO, Polynomial
@@ -73,12 +73,16 @@ class TriangleStore:
     are derived from the plain cells by variable substitution (a ring
     homomorphism commutes with the recurrence), so a corrupted cell
     poisons every derived reading consistently.
+
+    Every value computed from the cells -- those readings, the integer
+    specialisations and the row sums -- is memoised in one map keyed by
+    its kind, which ``corrupt_cell`` clears.
     """
 
     def __init__(self) -> None:
         self._triangles: dict[int, LahTriangle] = {}
         self._offsets: dict[tuple[int, int, int], int] = {}
-        self._derived: dict[tuple[str, int, int, int], Polynomial] = {}
+        self._derived: dict[tuple, Polynomial | int] = {}
 
     def corrupt_cell(self, r: int, n: int, k: int, delta: int = 1) -> None:
         """Offset cell (n, k) of triangle r by delta at read time."""
@@ -97,13 +101,15 @@ class TriangleStore:
             cell = cell + delta
         return cell
 
+    def _memo(self, key: tuple, compute: Callable[[], Polynomial | int]) -> Polynomial | int:
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = compute()
+        return value
+
     def _derived_cell(self, kind: str, n: int, k: int, r: int,
                       transform: Callable[[Polynomial], Polynomial]) -> Polynomial:
-        key = (kind, n, k, r)
-        cell = self._derived.get(key)
-        if cell is None:
-            cell = self._derived[key] = transform(self.g(n, k, r))
-        return cell
+        return self._memo((kind, n, k, r), lambda: transform(self.g(n, k, r)))
 
     def g_swapped(self, n: int, k: int, r: int) -> Polynomial:
         """Weights read in the order (b, a)."""
@@ -119,21 +125,18 @@ class TriangleStore:
 
     def g_int(self, n: int, k: int, r: int, a_val: int, b_val: int) -> int:
         """G(n, k; r) evaluated at integer weights (a, b)."""
-        return self.g(n, k, r).eval(a=a_val, b=b_val).as_int()
+        return self._memo(("int", n, k, r, a_val, b_val),
+                          lambda: self.g(n, k, r).eval(a=a_val, b=b_val).as_int())
 
     def row_sum(self, n: int, r: int) -> Polynomial:
         """Sum of row n over all block counts k."""
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + self.g(n, k, r)
-        return acc
+        return self._memo(("row", n, r),
+                          lambda: sum((self.g(n, k, r) for k in range(n + 1)), ZERO))
 
     def row_sum_marked(self, n: int, r: int) -> Polynomial:
         """Row sum with x marking the number of non-distinguished blocks."""
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + self.g(n, k, r) * X ** k
-        return acc
+        return self._memo(("marked", n, r),
+                          lambda: sum((self.g(n, k, r) * X ** k for k in range(n + 1)), ZERO))
 
 
 #: The store that every reader without an explicit store of its own uses;
@@ -176,14 +179,9 @@ def row_sum_marked(n: int, r: int) -> Polynomial:
     return DEFAULT.row_sum_marked(n, r)
 
 
-@lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient, zero outside 0 <= k <= n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    return binomial(n - 1, k - 1) + binomial(n - 1, k)
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def rising_factorial(base: int, count: int) -> int:

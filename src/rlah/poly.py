@@ -7,7 +7,8 @@ form (no zero coefficient is ever stored), so structural equality is
 exact polynomial equality and is the only equality the identity suite
 relies on.  Coefficients are plain Python ints, never floats: several of
 the quantities computed downstream (row sums of the weight triangles, for
-instance) grow superexponentially.
+instance) grow superexponentially.  The constructor rejects any exponent
+or coefficient that is not an int.
 
 Text rendering is deterministic -- terms in descending lexicographic
 order of the exponent tuples, e.g. ``2*a*b + 3*b^2`` -- and is shared by
@@ -16,6 +17,7 @@ the CLI and the golden tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 VARIABLES = ("a", "b", "x", "t")
@@ -34,9 +36,11 @@ class Polynomial:
         data: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                if len(mono) != 4 or any(not isinstance(e, int) or e < 0 for e in mono):
+                    raise ValueError(f"bad monomial {mono!r}")
+                if not isinstance(coeff, int):
+                    raise ValueError(f"inexact coefficient {coeff!r}")
                 if coeff:
-                    if len(mono) != 4 or any(e < 0 for e in mono):
-                        raise ValueError(f"bad monomial {mono!r}")
                     data[tuple(mono)] = coeff
         self._terms = data
 
@@ -274,11 +278,14 @@ X = Polynomial.variable("x")
 T = Polynomial.variable("t")
 
 
+@lru_cache(maxsize=None)
 def range_product(base: Polynomial | int, step: Polynomial | int, count: int) -> Polynomial:
     """Return ``prod_{i=0}^{count-1} (base + i*step)``; an empty product is 1.
 
     With integer base and step this is the rising factorial (step=1) or
-    falling factorial (step=-1) written symbolically.
+    falling factorial (step=-1) written symbolically.  The product is a
+    pure function of immutable arguments, so every result is cached; the
+    identity checks ask for the same few hundred tail products many times.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")

@@ -6,7 +6,7 @@ import pytest
 
 from rlah import identities as idn
 from rlah.lah_core import binomial, g_eval, g_poly, row_sum_poly
-from rlah.poly import ONE, ZERO
+from rlah.poly import A, B, ONE, X, ZERO, range_product
 
 
 def bell_like(n, r):
@@ -91,6 +91,51 @@ def test_rowsum_shift_and_split():
     assert idn.check_rowsum_shift(4, 1, 2).passed
     assert idn.check_rowsum_split(2, 1, 1).passed
     assert idn.check_rowsum_split(3, 2, 0).passed
+
+
+def _double_loop_split_rhs(c, n, m, r, inner_cell):
+    """SPLITTING's and ROWSUM_SPLIT's right side as one product per (i, j) term,
+    before the sum over i was grouped under each outer cell G(m, j; r)."""
+    rhs = ZERO
+    for i in range(n + 1):
+        for j in range(m + 1):
+            factor = binomial(n, i) * c.g(m, j, r) * inner_cell(i, j)
+            if factor:
+                tail = range_product(A * (m + r) + B * (j + r), A, n - i)
+                rhs = rhs + factor * tail
+    return rhs
+
+
+def _poisoned_store():
+    c = idn.Checker()
+    c.corrupt_cell(0, 2, 1)         # an inner cell of both sums
+    c.corrupt_cell(0, 3, 0)         # a zero inner cell made nonzero
+    c.corrupt_cell(0, 2, 2, -1)     # a unit inner cell made zero
+    c.corrupt_cell(0, 1, 3)         # an inner cell outside the triangle
+    c.corrupt_cell(1, 2, 1)         # an outer cell
+    c.corrupt_cell(2, 1, 1, -1)     # a unit outer cell made zero
+    return c
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+def test_split_sums_match_the_double_loop(poisoned):
+    c = _poisoned_store() if poisoned else idn.Checker()
+    failed = 0
+    for n in range(9):
+        for m in range(5):
+            for r in range(4):
+                lhs = c.row_sum(n + m, r)
+                report = idn.check_rowsum_split(n, m, r, checker=c)
+                failed += not report.passed
+                assert (report.rhs if report.rhs is not None else lhs) == \
+                    _double_loop_split_rhs(c, n, m, r, lambda i, j: c.row_sum(i, 0))
+                for k in range(n + m + 1):
+                    lhs = c.g(n + m, k, r)
+                    report = idn.check_splitting(n, m, k, r, checker=c)
+                    failed += not report.passed
+                    assert (report.rhs if report.rhs is not None else lhs) == \
+                        _double_loop_split_rhs(c, n, m, r, lambda i, j: c.g(i, k - j, 0))
+    assert bool(failed) == poisoned
 
 
 def test_rowsum_shift_refines_the_known_relation():
@@ -307,6 +352,28 @@ def test_corruption_reaches_derived_triangles():
     checker.corrupt_cell(1, 3, 1, delta=1)
     assert not idn.check_orth(3, 1, 1, checker=checker).passed
     assert not idn.check_triple(3, 1, 1, checker=checker).passed
+
+
+def test_corrupt_cell_clears_the_memoised_readings():
+    checker = idn.Checker()
+    before = (checker.g_int(3, 1, 1, 1, 1), checker.row_sum(3, 1),
+              checker.row_sum_marked(3, 1), checker.g_swapped(3, 1, 1))
+    checker.corrupt_cell(1, 3, 1)
+    assert checker.g_int(3, 1, 1, 1, 1) == before[0] + 1
+    assert checker.row_sum(3, 1) == before[1] + 1
+    assert checker.row_sum_marked(3, 1) == before[2] + X
+    assert checker.g_swapped(3, 1, 1) == before[3] + 1
+
+
+def test_corruption_read_only_by_the_inner_sum_fails():
+    # at r = 1 the left side and the outer cells G(m, j; 1) read triangle 1,
+    # so triangle 0 is read only inside the sum over i
+    checker = idn.Checker()
+    assert idn.check_splitting(2, 1, 2, 1, checker=checker).passed
+    assert idn.check_rowsum_split(2, 1, 1, checker=checker).passed
+    checker.corrupt_cell(0, 2, 1)  # G(i, k - j; 0) at i = 2, j = 1, and a cell of row_sum(2, 0)
+    assert not idn.check_splitting(2, 1, 2, 1, checker=checker).passed
+    assert not idn.check_rowsum_split(2, 1, 1, checker=checker).passed
 
 
 def test_report_lines():

@@ -118,6 +118,11 @@ def test_binomial_against_math_comb():
             expected = math.comb(n, k) if 0 <= k <= n else 0
             assert binomial(n, k) == expected
     assert binomial(-1, 0) == 0
+    # far past any recursion limit
+    assert binomial(3000, 1500) == math.comb(3000, 1500)
+    assert binomial(3000, 3000) == binomial(3000, 0) == 1
+    for n, k in ((3000, 3001), (3000, -1), (-1, -1), (-3, 2)):
+        assert binomial(n, k) == 0
 
 
 def test_factorials():

@@ -49,6 +49,20 @@ def test_as_int_rejects_non_constant():
     assert ZERO.as_int() == 0
 
 
+@pytest.mark.parametrize("terms", [
+    {(2.5, 0, 0, 0): 1},
+    {(2.0, 0, 0, 0): 3},   # would equal and hash like 3*a^2 yet render a^2.0
+    {(1, 0, 0, 0): 1.5},
+    {(1, 0, 0, 0): 2.0},
+    {(0, 0, 0, 0): 0.0},
+    {(-1, 0, 0, 0): 1},
+    {(1, 0, 0): 1},
+])
+def test_constructor_rejects_inexact_or_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        Polynomial(terms)
+
+
 def test_range_product_examples():
     assert range_product(X, 1, 0) == ONE
     assert range_product(X, 1, 3) == X ** 3 + 3 * X ** 2 + 2 * X
