@@ -166,8 +166,7 @@ def cmd_check(args) -> Output:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
     try:
         reports, skipped = identities.sweep_detailed(
-            ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s, seeds=args.s,
-            jobs=args.jobs)
+            ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s, jobs=args.jobs)
     except identities.InvalidParameters as exc:
         return _refuse("check", EXIT_USAGE, exc)
 

@@ -6,9 +6,9 @@ no tolerance anywhere.  Checks raise :class:`InvalidParameters` when a
 stated precondition fails, and :func:`sweep_detailed` skips such tuples;
 both read the precondition from the one ``IDENTITIES`` table.
 
-Every check reads its cells from a :class:`Checker`, which is the
-triangle store of :mod:`rlah.lah_core`: the default store unless the
-caller passes one, for instance one with a corrupted cell.
+Every check reads its cells from ``lah_core.DEFAULT``, the one triangle
+store, looked up at call time: to check against another store (one with
+a corrupted cell, say), install it as ``DEFAULT``.
 """
 
 from __future__ import annotations
@@ -120,18 +120,14 @@ def _report(identity_id: str, params, lhs: Polynomial, rhs: Polynomial) -> Check
                        None if passed else lhs, None if passed else rhs)
 
 
-def _store(checker: Checker | None) -> Checker:
-    return lah_core.DEFAULT if checker is None else checker
-
-
 # ----------------------------------------------------------------------
 # row and column identities
 
 
-def check_connection(n: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_connection(n: int, r: int) -> CheckReport:
     """prod_{i<n}(x + (a+b)r + a*i) expanded in the basis prod_{i<k}(x - b*i)."""
     params = _params("CONNECTION", n, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     lhs = range_product(X + (A + B) * r, A, n)
     rhs = ZERO
     for k in range(n + 1):
@@ -139,10 +135,10 @@ def check_connection(n: int, r: int, checker: Checker | None = None) -> CheckRep
     return _report("CONNECTION", params, lhs, rhs)
 
 
-def check_vertical(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_vertical(n: int, k: int, r: int) -> CheckReport:
     """Column recurrence: condition on the smallest element of the right-most block."""
     params = _params("VERTICAL", n, k, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     rhs = ZERO
     for i in range(k, n + 1):
         tail = range_product(A * i + B * k + (A + B) * r, A, n - i)
@@ -150,10 +146,10 @@ def check_vertical(n: int, k: int, r: int, checker: Checker | None = None) -> Ch
     return _report("VERTICAL", params, c.g(n, k, r), rhs)
 
 
-def check_horizontal(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_horizontal(n: int, k: int, r: int) -> CheckReport:
     """Row recurrence: condition on the largest element not alone in a block."""
     params = _params("HORIZONTAL", n, k, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     rhs = ZERO
     for i in range(k + 1):
         factor = A * (n + r - i - 1) + B * (k + r - i)
@@ -161,22 +157,29 @@ def check_horizontal(n: int, k: int, r: int, checker: Checker | None = None) -> 
     return _report("HORIZONTAL", params, c.g(n, k, r), rhs)
 
 
-def check_shift(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
+def _binomial_tail(n: int, cell: Callable[[int], Polynomial], base: Polynomial,
+                   extra: int = 0) -> Polynomial:
+    """sum_i C(n,i) cell(i) prod_{l<n-i+extra}(base + a*l), skipping zero cells."""
+    total = ZERO
+    for i in range(n + 1):
+        value = cell(i)
+        if value:
+            total = total + binomial(n, i) * value * range_product(base, A, n - i + extra)
+    return total
+
+
+def check_shift(n: int, k: int, r: int, s: int) -> CheckReport:
     """Shift the distinguished count: G(n,k;r+s) as a binomial sum over G(.,k;r)."""
     params = _params("SHIFT", n, k, r, s)
-    c = _store(checker)
-    rhs = ZERO
-    for i in range(k, n + 1):
-        tail = range_product((A + B) * s, A, n - i)
-        rhs = rhs + binomial(n, i) * c.g(i, k, r) * tail
+    c = lah_core.DEFAULT
+    rhs = _binomial_tail(n, lambda i: c.g(i, k, r), (A + B) * s)
     return _report("SHIFT", params, c.g(n, k, r + s), rhs)
 
 
-def check_convolution(n: int, k: int, m: int, r: int, s: int,
-                      checker: Checker | None = None) -> CheckReport:
+def check_convolution(n: int, k: int, m: int, r: int, s: int) -> CheckReport:
     """C(k+m,k) G(n,k+m;r+s) as a Vandermonde-style convolution of two triangles."""
     params = _params("CONVOLUTION", n, k, m, r, s)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     lhs = binomial(k + m, k) * c.g(n, k + m, r + s)
     rhs = ZERO
     for i in range(k, n - m + 1):
@@ -191,82 +194,67 @@ def _split_sum(c: Checker, n: int, m: int, r: int,
     rhs = ZERO
     for j in range(m + 1):
         outer = c.g(m, j, r)
-        if not outer:
-            continue
-        base = A * (m + r) + B * (j + r)
-        inner = ZERO
-        for i in range(n + 1):
-            cell = inner_cell(i, j)
-            if cell:
-                inner = inner + binomial(n, i) * cell * range_product(base, A, n - i)
-        rhs = rhs + outer * inner
+        if outer:
+            inner = _binomial_tail(n, lambda i: inner_cell(i, j), A * (m + r) + B * (j + r))
+            rhs = rhs + outer * inner
     return rhs
 
 
-def check_splitting(n: int, m: int, k: int, r: int,
-                    checker: Checker | None = None) -> CheckReport:
+def check_splitting(n: int, m: int, k: int, r: int) -> CheckReport:
     """G(n+m,k;r) split by how many of the top n elements join the bottom m+r."""
     params = _params("SPLITTING", n, m, k, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     rhs = _split_sum(c, n, m, r, lambda i, j: c.g(i, k - j, 0))
     return _report("SPLITTING", params, c.g(n + m, k, r), rhs)
 
 
-def check_rowsum_shift(n: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
+def check_rowsum_shift(n: int, r: int, s: int) -> CheckReport:
     params = _params("ROWSUM_SHIFT", n, r, s)
-    c = _store(checker)
-    rhs = ZERO
-    for i in range(n + 1):
-        rhs = rhs + binomial(n, i) * c.row_sum(i, r) * range_product((A + B) * s, A, n - i)
+    c = lah_core.DEFAULT
+    rhs = _binomial_tail(n, lambda i: c.row_sum(i, r), (A + B) * s)
     return _report("ROWSUM_SHIFT", params, c.row_sum(n, r + s), rhs)
 
 
-def check_rowsum_split(n: int, m: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_rowsum_split(n: int, m: int, r: int) -> CheckReport:
     params = _params("ROWSUM_SPLIT", n, m, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     rhs = _split_sum(c, n, m, r, lambda i, j: c.row_sum(i, 0))
     return _report("ROWSUM_SPLIT", params, c.row_sum(n + m, r), rhs)
 
 
-def check_rowsum_decomp(n: int, r: int, checker: Checker | None = None) -> CheckReport:
-    """Row sum split by the number of elements living in distinguished blocks."""
+def check_rowsum_decomp(n: int, r: int) -> CheckReport:
+    """Row sum split by the number of elements living in distinguished blocks:
+    ROWSUM_SHIFT's right side at r = 0, s = r."""
     params = _params("ROWSUM_DECOMP", n, r)
-    c = _store(checker)
-    rhs = ZERO
-    for i in range(n + 1):
-        rhs = rhs + binomial(n, i) * c.row_sum(n - i, 0) * range_product((A + B) * r, A, i)
+    c = lah_core.DEFAULT
+    rhs = _binomial_tail(n, lambda i: c.row_sum(i, 0), (A + B) * r)
     return _report("ROWSUM_DECOMP", params, c.row_sum(n, r), rhs)
 
 
-def check_rowsum_rec(n: int, r: int, checker: Checker | None = None) -> CheckReport:
-    """Row-sum recurrence by whether the new largest element joins a
-    distinguished block; at r = 0 the first sum is empty."""
-    params = _params("ROWSUM_REC", n, r)
-    c = _store(checker)
-    rhs = ZERO
+def _row_recurrence(n: int, r: int, row: Callable[[int, int], Polynomial],
+                    mark: Polynomial | int) -> Polynomial:
+    """Row n+1 by whether the new largest element joins a distinguished block
+    (r choices, empty at r = 0) or not (marked by ``mark``)."""
+    rhs = mark * _binomial_tail(n, lambda i: row(i, r), A + B)
     if r >= 1:
-        for i in range(n + 1):
-            rhs = rhs + r * binomial(n, i) * c.row_sum(n - i, r - 1) \
-                * range_product(A + B, A, i + 1)
-    for i in range(n + 1):
-        rhs = rhs + binomial(n, i) * c.row_sum(n - i, r) * range_product(A + B, A, i)
+        rhs = rhs + r * _binomial_tail(n, lambda i: row(i, r - 1), A + B, 1)
+    return rhs
+
+
+def check_rowsum_rec(n: int, r: int) -> CheckReport:
+    """Row-sum recurrence by whether the new largest element joins a
+    distinguished block."""
+    params = _params("ROWSUM_REC", n, r)
+    c = lah_core.DEFAULT
+    rhs = _row_recurrence(n, r, c.row_sum, 1)
     return _report("ROWSUM_REC", params, c.row_sum(n + 1, r), rhs)
 
 
-def check_marked_rec(n: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_marked_rec(n: int, r: int) -> CheckReport:
     """The row-sum recurrence with x marking non-distinguished blocks."""
     params = _params("MARKED_REC", n, r)
-    c = _store(checker)
-    rhs = ZERO
-    if r >= 1:
-        for i in range(n + 1):
-            rhs = rhs + r * binomial(n, i) * c.row_sum_marked(n - i, r - 1) \
-                * range_product(A + B, A, i + 1)
-    second = ZERO
-    for i in range(n + 1):
-        second = second + binomial(n, i) * c.row_sum_marked(n - i, r) \
-            * range_product(A + B, A, i)
-    rhs = rhs + X * second
+    c = lah_core.DEFAULT
+    rhs = _row_recurrence(n, r, c.row_sum_marked, X)
     return _report("MARKED_REC", params, c.row_sum_marked(n + 1, r), rhs)
 
 
@@ -276,65 +264,63 @@ def check_marked_rec(n: int, r: int, checker: Checker | None = None) -> CheckRep
 
 #: One entry per alternating identity sum_j sign * G(n,j;r)|w1 * G(j,k;s)|w2 = closed:
 #: the integer weights (a, b) of the two factors, the sign of the j-th term
-#: as a function of (n, j, k), and the closed side as a function of a store
-#: and (n, k, r, s).  The proof constructions of :mod:`rlah.bijections`
+#: as a function of (n, j, k), and the closed side as a function of
+#: (n, k, r, s).  The proof constructions of :mod:`rlah.bijections`
 #: derive their pair families, signs and survivor counts from these entries.
 ALTERNATING: dict[str, tuple[tuple[int, int], tuple[int, int], Callable, Callable]] = {
     "RLAH_I": ((1, 1), (1, 1), lambda n, j, k: (-1) ** (j - k),
-               lambda c, n, k, r, s: binomial(n, k) * rising_factorial(2 * (r - s), n - k)),
+               lambda n, k, r, s: binomial(n, k) * rising_factorial(2 * (r - s), n - k)),
     "RLAH_I_NEG": ((1, 1), (1, 1), lambda n, j, k: (-1) ** (n - j),
-                   lambda c, n, k, r, s: binomial(n, k) * falling_factorial(2 * (s - r), n - k)),
+                   lambda n, k, r, s: binomial(n, k) * falling_factorial(2 * (s - r), n - k)),
     "RLAH_II": ((1, 1), (1, 0), lambda n, j, k: (-1) ** (j - k),
-                lambda c, n, k, r, s: c.g_int(n, k, 2 * r - s, 1, 0)),
+                lambda n, k, r, s: lah_core.DEFAULT.g_int(n, k, 2 * r - s, 1, 0)),
     "RLAH_III": ((0, 1), (1, 1), lambda n, j, k: (-1) ** (n - j),
-                 lambda c, n, k, r, s: c.g_int(n, k, 2 * s - r, 0, 1)),
+                 lambda n, k, r, s: lah_core.DEFAULT.g_int(n, k, 2 * s - r, 0, 1)),
     "RLAH_IV": ((1, 0), (0, 1), lambda n, j, k: 1,
-                lambda c, n, k, r, s: c.g_int(n, k, (r + s) // 2, 1, 1)),
+                lambda n, k, r, s: lah_core.DEFAULT.g_int(n, k, (r + s) // 2, 1, 1)),
 }
 
 
-def _alternating(identity_id: str, n: int, k: int, r: int, s: int,
-                 checker: Checker | None) -> CheckReport:
+def _alternating(identity_id: str, n: int, k: int, r: int, s: int) -> CheckReport:
     params = _params(identity_id, n, k, r, s)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     first, second, sign, closed = ALTERNATING[identity_id]
-    lhs = closed(c, n, k, r, s)
+    lhs = closed(n, k, r, s)
     rhs = 0
     for j in range(k, n + 1):
         rhs += sign(n, j, k) * c.g_int(n, j, r, *first) * c.g_int(j, k, s, *second)
-    return _report(identity_id, params,
-                   Polynomial.constant(lhs), Polynomial.constant(rhs))
+    return _report(identity_id, params, Polynomial.constant(lhs), Polynomial.constant(rhs))
 
 
-def check_rlah_i(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
+def check_rlah_i(n: int, k: int, r: int, s: int) -> CheckReport:
     """Alternating double-Lah sum against the rising/falling factorial form."""
-    return _alternating("RLAH_I" if r >= s else "RLAH_I_NEG", n, k, r, s, checker)
+    return _alternating("RLAH_I" if r >= s else "RLAH_I_NEG", n, k, r, s)
 
 
-def check_rlah_ii(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
+def check_rlah_ii(n: int, k: int, r: int, s: int) -> CheckReport:
     """Lah-by-cycle alternating sum collapsing to the 2r-s cycle numbers."""
-    return _alternating("RLAH_II", n, k, r, s, checker)
+    return _alternating("RLAH_II", n, k, r, s)
 
 
-def check_rlah_iii(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
+def check_rlah_iii(n: int, k: int, r: int, s: int) -> CheckReport:
     """Subset-by-Lah alternating sum collapsing to the 2s-r subset numbers."""
-    return _alternating("RLAH_III", n, k, r, s, checker)
+    return _alternating("RLAH_III", n, k, r, s)
 
 
-def check_rlah_iv(n: int, k: int, r: int, s: int, checker: Checker | None = None) -> CheckReport:
+def check_rlah_iv(n: int, k: int, r: int, s: int) -> CheckReport:
     """Cycle-subset convolution equal to the Lah numbers at the average level."""
-    return _alternating("RLAH_IV", n, k, r, s, checker)
+    return _alternating("RLAH_IV", n, k, r, s)
 
 
 # ----------------------------------------------------------------------
 # orthogonality
 
 
-def check_orth(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_orth(n: int, k: int, r: int) -> CheckReport:
     """Alternating product with the second factor read in swapped weight
     order (b, a) telescopes to the Kronecker delta."""
     params = _params("ORTH", n, k, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     lhs = ONE if n == k else ZERO
     rhs = ZERO
     for j in range(k, n + 1):
@@ -342,18 +328,17 @@ def check_orth(n: int, k: int, r: int, checker: Checker | None = None) -> CheckR
     return _report("ORTH", params, lhs, rhs)
 
 
-def check_triple(n: int, k: int, r: int, checker: Checker | None = None) -> CheckReport:
+def check_triple(n: int, k: int, r: int) -> CheckReport:
     """Factoring through a free parameter t: G_{a,t} convolved with G_{-t,b}."""
     params = _params("TRIPLE", n, k, r)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     rhs = ZERO
     for j in range(k, n + 1):
         rhs = rhs + c.g_second_t(n, j, r) * c.g_neg_t(j, k, r)
     return _report("TRIPLE", params, c.g(n, k, r), rhs)
 
 
-def check_inversion(n_max: int, r: int, seed: int,
-                    checker: Checker | None = None) -> CheckReport:
+def check_inversion(n_max: int, r: int, seed: int) -> CheckReport:
     """Binomial-transform-style sequence inversion round trip.
 
     A pseudo-random integer sequence is pushed through the triangle and
@@ -361,7 +346,7 @@ def check_inversion(n_max: int, r: int, seed: int,
     directions are checked at each weight pair in INVERSION_WEIGHTS.
     """
     params = _params("INVERSION", n_max, r, seed)
-    c = _store(checker)
+    c = lah_core.DEFAULT
     rng = random.Random(seed)
     seq = [rng.randint(-99, 99) for _ in range(n_max + 1)]
     for a_val, b_val in INVERSION_WEIGHTS:
@@ -390,9 +375,9 @@ def check_inversion(n_max: int, r: int, seed: int,
 # sweeping
 
 
-def _run(task: tuple[str, tuple], checker: Checker | None = None) -> CheckReport:
+def _run(task: tuple[str, tuple]) -> CheckReport:
     check, values = task
-    return globals()[check](*values, checker=checker)
+    return globals()[check](*values)
 
 
 def _order(identity_id: str, params) -> tuple:
@@ -401,16 +386,15 @@ def _order(identity_id: str, params) -> tuple:
 
 def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
                    k: Iterable[int] = (0,), m: Iterable[int] = (0,),
-                   r: Iterable[int] = (0,), s: Iterable[int] = (0,),
-                   seeds: Iterable[int] = (1, 2, 3), checker: Checker | None = None,
-                   jobs: int = 1):
+                   r: Iterable[int] = (0,), s: Iterable[int] = (0,), jobs: int = 1):
     """Run the selected checks over Cartesian ranges.
 
     Returns (reports, skipped) where skipped lists the precondition-violating
     tuples as (identity_id, params).  Reports come back in canonical
-    (identity_id, params) order regardless of execution order.  INVERSION
-    draws its s slot from ``seeds``.  ``jobs`` > 1 runs the checks in at
-    most min(jobs, usable CPUs) worker processes.
+    (identity_id, params) order regardless of execution order.  Checks
+    read ``lah_core.DEFAULT``, and INVERSION's PRNG seed comes from ``s``.
+    ``jobs`` > 1 runs the checks in at most min(jobs, usable CPUs) worker
+    processes, each reading the ``DEFAULT`` its start method gives it.
     """
     if jobs < 1:
         raise InvalidParameters(f"jobs must be at least 1, got {jobs}")
@@ -420,26 +404,22 @@ def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
     if unknown:
         raise InvalidParameters(f"unknown identity ids: {unknown}")
     ranges = {"n": tuple(n), "k": tuple(k), "m": tuple(m), "r": tuple(r), "s": tuple(s)}
-    seed_ranges = {**ranges, "s": tuple(seeds)}
     runnable: list[tuple[str, tuple]] = []
     skipped: list[tuple[str, tuple]] = []
     for ident in ids:
         fields, precondition, check = IDENTITIES[ident]
-        spans = seed_ranges if ident == "INVERSION" else ranges
-        for values in product(*(spans[name] for name in fields)):
+        for values in product(*(ranges[name] for name in fields)):
             if precondition(*values):
                 runnable.append((check, values))
             else:
                 skipped.append((ident, _slots(fields, values)))
     if jobs > 1:
-        if checker is not None:
-            raise InvalidParameters("custom checkers cannot be used with jobs > 1")
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=min(jobs, usable)) as pool:
             reports = list(pool.map(_run, runnable, chunksize=16))
     else:
-        reports = [_run(task, checker) for task in runnable]
+        reports = [_run(task) for task in runnable]
     reports.sort(key=lambda rep: _order(rep.identity_id, rep.params))
     skipped.sort(key=lambda item: _order(*item))
     return reports, skipped

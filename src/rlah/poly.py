@@ -171,21 +171,22 @@ class Polynomial:
     # ------------------------------------------------------------------
     # substitution
 
-    def eval(self, bindings: Mapping[str, int] | None = None, **by_name: int) -> "Polynomial":
-        """Substitute integers for a subset of the variables.
+    def eval(self, **bindings: int) -> "Polynomial":
+        """Substitute integers for a subset of the variables, by name.
 
         The result is a polynomial in the remaining variables; a full
         binding yields a constant polynomial (read it with ``as_int``).
+        A value that is not an int is refused, as in the constructor.
         """
-        merged = dict(bindings or {})
-        merged.update(by_name)
-        if not merged:
+        if not bindings:
             return self
         pairs = []
-        for name, value in merged.items():
+        for name, value in bindings.items():
             if name not in VARIABLES:
                 raise KeyError(f"unknown variable {name!r}")
-            pairs.append((VARIABLES.index(name), int(value)))
+            if not isinstance(value, int):
+                raise ValueError(f"inexact binding {name}={value!r}")
+            pairs.append((VARIABLES.index(name), value))
         out: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
             c = coeff

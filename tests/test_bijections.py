@@ -534,6 +534,20 @@ def test_map_iv_image_outside_the_codomain_fails(monkeypatch, capsys, outside):
     assert capsys.readouterr().out.endswith("FAIL\n")
 
 
+def test_map_iv_sending_two_pairs_to_one_image_fails(monkeypatch, capsys):
+    # negative control: the second pair's image maps back to the first pair,
+    # so the round trip alone refutes injectivity, with no image set
+    first, second, *_ = (pair.config for pair in bj.iter_pairs("IV", 2, 1, 1, 1))
+    map_iv = bj.map_iv
+    monkeypatch.setattr(bj, "map_iv", lambda cfg: map_iv(first if cfg == second else cfg))
+    report = bj.verify_construction("IV", 2, 1, 1, 1)
+    assert report.total_pairs == report.closed_form
+    assert report.bijective is False and not report.passed
+    assert cli.main(["constructions", "--id", "iv", "--n", "2", "--k", "1",
+                     "--r", "1", "--s", "1"]) == 1
+    assert capsys.readouterr().out.endswith("bij=n FAIL\n")
+
+
 # ----------------------------------------------------------------------
 # configuration plumbing
 

@@ -1,10 +1,12 @@
 """Per-identity checks: worked instances, precondition errors, negative controls."""
 
+import inspect
 import os
 
 import pytest
 
 from rlah import identities as idn
+from rlah import lah_core
 from rlah.lah_core import binomial, g_eval, g_poly, row_sum_poly
 from rlah.poly import A, B, ONE, X, ZERO, range_product
 
@@ -118,20 +120,21 @@ def _poisoned_store():
 
 
 @pytest.mark.parametrize("poisoned", [False, True])
-def test_split_sums_match_the_double_loop(poisoned):
+def test_split_sums_match_the_double_loop(monkeypatch, poisoned):
     c = _poisoned_store() if poisoned else idn.Checker()
+    monkeypatch.setattr(lah_core, "DEFAULT", c)
     failed = 0
     for n in range(9):
         for m in range(5):
             for r in range(4):
                 lhs = c.row_sum(n + m, r)
-                report = idn.check_rowsum_split(n, m, r, checker=c)
+                report = idn.check_rowsum_split(n, m, r)
                 failed += not report.passed
                 assert (report.rhs if report.rhs is not None else lhs) == \
                     _double_loop_split_rhs(c, n, m, r, lambda i, j: c.row_sum(i, 0))
                 for k in range(n + m + 1):
                     lhs = c.g(n + m, k, r)
-                    report = idn.check_splitting(n, m, k, r, checker=c)
+                    report = idn.check_splitting(n, m, k, r)
                     failed += not report.passed
                     assert (report.rhs if report.rhs is not None else lhs) == \
                         _double_loop_split_rhs(c, n, m, r, lambda i, j: c.g(i, k - j, 0))
@@ -302,6 +305,17 @@ def test_sweep_unknown_id():
         idn.sweep_detailed(["NOPE"])
 
 
+def test_every_check_takes_its_slots():
+    for ident, (fields, _, check) in idn.IDENTITIES.items():
+        assert len(inspect.signature(getattr(idn, check)).parameters) == len(fields), ident
+
+
+def test_sweep_takes_the_inversion_seed_from_s():
+    reports = idn.sweep_detailed(["INVERSION"], n=(4,), r=(0,), s=(5, 6))[0]
+    assert [rep.params[4] for rep in reports] == [5, 6]
+    assert reports == [idn.check_inversion(4, 0, 5), idn.check_inversion(4, 0, 6)]
+
+
 def test_sweep_parallel_matches_serial():
     serial = idn.sweep_detailed(["CONNECTION"], n=range(5), r=range(3))[0]
     parallel = idn.sweep_detailed(["CONNECTION"], n=range(5), r=range(3), jobs=2)[0]
@@ -336,22 +350,24 @@ def test_sweep_runs_at_most_one_worker_per_usable_cpu(monkeypatch):
     assert len(started) == 1
 
 
-def test_corrupted_cell_fails_with_witness():
+def test_corrupted_cell_fails_with_witness(monkeypatch):
     checker = idn.Checker()
     checker.corrupt_cell(1, 3, 1, delta=1)
-    report = idn.check_connection(3, 1, checker=checker)
+    monkeypatch.setattr(lah_core, "DEFAULT", checker)
+    report = idn.check_connection(3, 1)
     assert not report.passed
     assert report.lhs is not None and report.rhs is not None
     assert report.lhs != report.rhs
-    reports = idn.sweep_detailed(["CONNECTION"], n=range(5), r=(1,), checker=checker)[0]
+    reports = idn.sweep_detailed(["CONNECTION"], n=range(5), r=(1,))[0]
     assert any(not rep.passed for rep in reports)
 
 
-def test_corruption_reaches_derived_triangles():
+def test_corruption_reaches_derived_triangles(monkeypatch):
     checker = idn.Checker()
     checker.corrupt_cell(1, 3, 1, delta=1)
-    assert not idn.check_orth(3, 1, 1, checker=checker).passed
-    assert not idn.check_triple(3, 1, 1, checker=checker).passed
+    monkeypatch.setattr(lah_core, "DEFAULT", checker)
+    assert not idn.check_orth(3, 1, 1).passed
+    assert not idn.check_triple(3, 1, 1).passed
 
 
 def test_corrupt_cell_clears_the_memoised_readings():
@@ -365,15 +381,16 @@ def test_corrupt_cell_clears_the_memoised_readings():
     assert checker.g_swapped(3, 1, 1) == before[3] + 1
 
 
-def test_corruption_read_only_by_the_inner_sum_fails():
+def test_corruption_read_only_by_the_inner_sum_fails(monkeypatch):
     # at r = 1 the left side and the outer cells G(m, j; 1) read triangle 1,
     # so triangle 0 is read only inside the sum over i
     checker = idn.Checker()
-    assert idn.check_splitting(2, 1, 2, 1, checker=checker).passed
-    assert idn.check_rowsum_split(2, 1, 1, checker=checker).passed
+    monkeypatch.setattr(lah_core, "DEFAULT", checker)
+    assert idn.check_splitting(2, 1, 2, 1).passed
+    assert idn.check_rowsum_split(2, 1, 1).passed
     checker.corrupt_cell(0, 2, 1)  # G(i, k - j; 0) at i = 2, j = 1, and a cell of row_sum(2, 0)
-    assert not idn.check_splitting(2, 1, 2, 1, checker=checker).passed
-    assert not idn.check_rowsum_split(2, 1, 1, checker=checker).passed
+    assert not idn.check_splitting(2, 1, 2, 1).passed
+    assert not idn.check_rowsum_split(2, 1, 1).passed
 
 
 def test_report_lines():

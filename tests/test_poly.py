@@ -35,12 +35,19 @@ def test_eval_examples():
     assert (A + B).eval(a=1, b=1).as_int() == 2
     assert (A ** 2 * B).eval(a=2) == 4 * B
     assert X.eval() == X
-    assert (A + B).eval({"a": 3}, b=4).as_int() == 7
+    assert (A + B).eval(**{"a": 3}, b=4).as_int() == 7
 
 
 def test_eval_unknown_variable():
     with pytest.raises(KeyError):
         A.eval(q=1)
+
+
+@pytest.mark.parametrize("value", [1.5, "2"])
+def test_eval_rejects_inexact_bindings(value):
+    # int() would truncate 1.5 to 1 and parse "2" as 2
+    with pytest.raises(ValueError):
+        A.eval(a=value)
 
 
 def test_as_int_rejects_non_constant():
@@ -119,8 +126,8 @@ def test_self_cancellation(p):
 @given(p=polynomials(), q=polynomials(), sigma=bindings)
 @settings(deadline=None)
 def test_eval_is_homomorphism(p, q, sigma):
-    assert (p + q).eval(sigma) == p.eval(sigma) + q.eval(sigma)
-    assert (p * q).eval(sigma) == p.eval(sigma) * q.eval(sigma)
+    assert (p + q).eval(**sigma) == p.eval(**sigma) + q.eval(**sigma)
+    assert (p * q).eval(**sigma) == p.eval(**sigma) * q.eval(**sigma)
 
 
 @given(base=polynomials(max_terms=2), step=polynomials(max_terms=2), m=st.integers(0, 12))
