@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from . import bijections, identities
 from .distributions import DEFAULT_CAP, SizeLimitError, check_cap, oracle_row
-from .lah_core import binomial, g_poly, row_sum_poly
+from .lah_core import binomial, g_eval, g_poly, row_sum_poly
 from .poly import ZERO
 
 EXIT_OK = 0
@@ -131,11 +131,10 @@ def cmd_table(args) -> Output:
     numeric = len(bindings) == 2
 
     def row(n):
-        for k in range(n + 1):
-            value = g_poly(n, k, args.r)
-            if bindings:
-                value = value.eval(**bindings)
-            yield value.as_int() if numeric else str(value)
+        if numeric:
+            return (g_eval(n, k, args.r, args.a, args.b) for k in range(n + 1))
+        cells = (g_poly(n, k, args.r) for k in range(n + 1))
+        return (str(cell.eval(**bindings) if bindings else cell) for cell in cells)
 
     rows = ({"n": n, "k": k, "value": value}
             for n in range(args.n + 1) for k, value in enumerate(row(n)))

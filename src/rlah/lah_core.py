@@ -14,8 +14,9 @@ with G(0, 0) = 1 and G(n, k) = 0 outside 0 <= k <= n.  Specialising
 and r-Stirling subset numbers respectively.
 
 r is always a concrete nonnegative integer parameter, never a variable;
-each r owns its own triangle.  The module-level ``DEFAULT`` store holds
-them, and every reader goes through it unless handed a store of its own.
+each r owns its own triangle.  Evaluation is a ring homomorphism, so the
+recurrence run over integer weights fills each specialisation's integer
+triangle directly.  The module-level ``DEFAULT`` store holds them all.
 """
 
 from __future__ import annotations
@@ -23,66 +24,69 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
-from .poly import A, B, ONE, T, X, ZERO, Polynomial
+from .poly import A, B, T, X, ZERO, Polynomial, range_product
 
 
 class LahTriangle:
     """Cells G(n, k) for one fixed distinguished count r, filled on demand.
 
-    A triangle is filled by its owner and extended rows are never
-    mutated, so completed triangles can be shared across readers.
+    The weights are ``A``, ``B`` for the symbolic cells or two ints for a
+    specialisation.  Extended rows are never mutated, so completed
+    triangles can be shared across readers.
     """
 
-    def __init__(self, r: int) -> None:
+    def __init__(self, r: int, a: Polynomial | int = A, b: Polynomial | int = B) -> None:
         if r < 0:
             raise ValueError("r must be nonnegative")
         self.r = r
-        self._rows: list[dict[int, Polynomial]] = [{0: ONE}]
-        self._r_term = (A + B) * r
+        self._a, self._b, self._zero = a, b, a * 0
+        self._rows: list[dict[int, Polynomial | int]] = [{0: self._zero + 1}]
+        self._r_term = (a + b) * r
 
     @property
     def max_n(self) -> int:
         return len(self._rows) - 1
 
-    def poly(self, n: int, k: int) -> Polynomial:
-        """The cell polynomial; zero for out-of-range (n, k)."""
+    def poly(self, n: int, k: int) -> Polynomial | int:
+        """The cell value; zero for out-of-range (n, k)."""
         if n < 0 or k < 0 or k > n:
-            return ZERO
+            return self._zero
         while self.max_n < n:
             self._extend()
-        return self._rows[n].get(k, ZERO)
+        return self._rows[n].get(k, self._zero)
 
     def _extend(self) -> None:
         n = self.max_n
         prev = self._rows[n]
-        nxt: dict[int, Polynomial] = {}
+        b, zero = self._b, self._zero
+        a_term = self._a * n + self._r_term
+        nxt: dict[int, Polynomial | int] = {}
         for k in range(n + 2):
-            cell = prev.get(k - 1, ZERO) + (A * n + B * k + self._r_term) * prev.get(k, ZERO)
+            cell = prev.get(k - 1, zero) + (a_term + b * k) * prev.get(k, zero)
             if cell:
                 nxt[k] = cell
         self._rows.append(nxt)
 
 
 class TriangleStore:
-    """The triangles every reader shares, one LahTriangle per r.
+    """The triangles every reader shares: the symbolic LahTriangle of each
+    r, keyed by r, and the integer one of each specialisation, keyed by
+    (r, a, b).
 
     ``corrupt_cell`` adds a constant offset to a single cell at read time,
     which is how the fault-injection tests prove that a check, the oracle
-    or a closed form actually reads the cell.  The swapped-weight,
-    t-weighted and negated-t readings used by the orthogonality checks
-    are derived from the plain cells by variable substitution (a ring
-    homomorphism commutes with the recurrence), so a corrupted cell
-    poisons every derived reading consistently.
-
-    Every value computed from the cells -- those readings, the integer
-    specialisations and the row sums -- is memoised in one map keyed by
-    its kind, which ``corrupt_cell`` clears.
+    or a closed form actually reads the cell.  ``g`` and ``g_int`` add the
+    same offset, and the swapped-weight, t-weighted and negated-t readings
+    of the orthogonality checks are derived from the plain cells by
+    variable substitution, so a corrupted cell poisons every reading alike.
+    Those derived readings and the row sums are memoised in one map keyed
+    by their kind, which ``corrupt_cell`` clears.
     """
 
     def __init__(self) -> None:
-        self._triangles: dict[int, LahTriangle] = {}
+        self._triangles: dict[int | tuple[int, int, int], LahTriangle] = {}
         self._offsets: dict[tuple[int, int, int], int] = {}
-        self._derived: dict[tuple, Polynomial | int] = {}
+        self._derived: dict[tuple, Polynomial] = {}
 
     def corrupt_cell(self, r: int, n: int, k: int, delta: int = 1) -> None:
         """Offset cell (n, k) of triangle r by delta at read time."""
@@ -101,7 +105,7 @@ class TriangleStore:
             cell = cell + delta
         return cell
 
-    def _memo(self, key: tuple, compute: Callable[[], Polynomial | int]) -> Polynomial | int:
+    def _memo(self, key: tuple, compute: Callable[[], Polynomial]) -> Polynomial:
         value = self._derived.get(key)
         if value is None:
             value = self._derived[key] = compute()
@@ -125,8 +129,13 @@ class TriangleStore:
 
     def g_int(self, n: int, k: int, r: int, a_val: int, b_val: int) -> int:
         """G(n, k; r) evaluated at integer weights (a, b)."""
-        return self._memo(("int", n, k, r, a_val, b_val),
-                          lambda: self.g(n, k, r).eval(a=a_val, b=b_val).as_int())
+        if not (isinstance(a_val, int) and isinstance(b_val, int)):
+            raise ValueError(f"inexact weights a={a_val!r}, b={b_val!r}")
+        key = (r, a_val, b_val)
+        tri = self._triangles.get(key)
+        if tri is None:
+            tri = self._triangles[key] = LahTriangle(r, a_val, b_val)
+        return tri.poly(n, k) + self._offsets.get((r, n, k), 0)
 
     def row_sum(self, n: int, r: int) -> Polynomial:
         """Sum of row n over all block counts k."""
@@ -139,8 +148,8 @@ class TriangleStore:
                           lambda: sum((self.g(n, k, r) * X ** k for k in range(n + 1)), ZERO))
 
 
-#: The store that every reader without an explicit store of its own uses;
-#: replacing it (or corrupting one of its cells) reaches every path.
+#: The store every reader uses; replacing it (or corrupting one of its
+#: cells) reaches every path.
 DEFAULT = TriangleStore()
 
 
@@ -186,19 +195,9 @@ def binomial(n: int, k: int) -> int:
 
 def rising_factorial(base: int, count: int) -> int:
     """base * (base+1) * ... * (base+count-1); empty product is 1."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    acc = 1
-    for i in range(count):
-        acc *= base + i
-    return acc
+    return range_product(base, 1, count).as_int()
 
 
 def falling_factorial(base: int, count: int) -> int:
     """base * (base-1) * ... * (base-count+1); empty product is 1."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    acc = 1
-    for i in range(count):
-        acc *= base - i
-    return acc
+    return range_product(base, -1, count).as_int()

@@ -27,6 +27,13 @@ Monomial = tuple[int, int, int, int]
 _CONST: Monomial = (0, 0, 0, 0)
 
 
+@lru_cache(maxsize=None)
+def _factor_text(mono: Monomial) -> str:
+    """The variable part of a term, e.g. ``a^3*b^2``; empty for a constant."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(VARIABLES, mono) if e)
+
+
 class Polynomial:
     """Immutable sparse polynomial in a, b, x, t with integer coefficients."""
 
@@ -244,20 +251,14 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mono in sorted(self._terms, reverse=True):
-            coeff = self._terms[mono]
-            factors = []
-            for name, e in zip(VARIABLES, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if factors:
-                pieces = ([str(mag)] if mag != 1 else []) + factors
-                body = "*".join(pieces)
-            else:
+        for mono, coeff in sorted(self._terms.items(), reverse=True):
+            factors, mag = _factor_text(mono), abs(coeff)
+            if not factors:
                 body = str(mag)
+            elif mag == 1:
+                body = factors
+            else:
+                body = f"{mag}*{factors}"
             if not parts:
                 parts.append(("-" if coeff < 0 else "") + body)
             else:

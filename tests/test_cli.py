@@ -346,6 +346,36 @@ def test_poisoned_store_reaches_the_table(capsys, poisoned_store):
     assert out.splitlines()[3].split(" | ")[1] == str(lah_core.TriangleStore().g(3, 1, 1) + 1)
 
 
+def _table_cells(fmt, out):
+    """{(n, k): value} from a numeric table in any format."""
+    if fmt == "json":
+        return {(row["n"], row["k"]): row["value"] for row in json.loads(out)}
+    if fmt == "csv":
+        return {(int(row["n"]), int(row["k"])): int(row["value"])
+                for row in csv.DictReader(io.StringIO(out))}
+    return {(n, k): int(value) for n, line in enumerate(out.splitlines())
+            for k, value in enumerate(line.split(" "))}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_poisoned_store_reaches_the_numeric_table(capsys, poisoned_store, fmt):
+    clean = lah_core.TriangleStore().g(3, 1, 1).eval(a=2, b=3).as_int()
+    code, out = run(capsys, "table", "--n", "3", "--r", "1", "--a", "2", "--b", "3",
+                    "--format", fmt)
+    assert code == 0
+    assert _table_cells(fmt, out)[3, 1] == clean + 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_numeric_table_equals_the_evaluated_cells(capsys, fmt):
+    code, out = run(capsys, "table", "--n", "30", "--r", "2", "--a", "2", "--b", "3",
+                    "--format", fmt)
+    assert code == 0
+    store = lah_core.TriangleStore()
+    assert _table_cells(fmt, out) == {(n, k): store.g(n, k, 2).eval(a=2, b=3).as_int()
+                                      for n in range(31) for k in range(n + 1)}
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "rlah", "table", "--n", "1", "--r", "0",
                            "--a", "1", "--b", "1"], capture_output=True, text=True)

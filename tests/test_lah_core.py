@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from rlah.lah_core import (LahTriangle, binomial, falling_factorial, g_eval,
-                           g_poly, r_lah, r_stirling_cycle, r_stirling_subset,
+from rlah.lah_core import (LahTriangle, TriangleStore, binomial, falling_factorial,
+                           g_eval, g_poly, r_lah, r_stirling_cycle, r_stirling_subset,
                            rising_factorial, row_sum_marked, row_sum_poly)
 from rlah.poly import A, B, ONE, X, ZERO, range_product
 
@@ -105,6 +105,38 @@ def test_independent_fills_agree():
     for n in range(8):
         for k in range(n + 1):
             assert first.poly(n, k) == second.poly(n, k)
+
+
+INTEGER_WEIGHTS = ((1, 1), (1, 0), (0, 1), (2, 3), (3, 2), (-1, 2), (0, 0))
+
+
+@pytest.mark.parametrize("delta", [0, 4, -3])
+def test_integer_triangles_agree_with_the_evaluated_cells(delta):
+    # the integer triangles run the recurrence over ints, never reading a
+    # symbolic cell; evaluating the symbolic cell is the independent side
+    clean, store = TriangleStore(), TriangleStore()
+    if delta:
+        store.corrupt_cell(2, 5, 3, delta)
+    for r in range(4):
+        for n in range(13):
+            for k in range(n + 1):
+                for a_val, b_val in INTEGER_WEIGHTS:
+                    value = store.g_int(n, k, r, a_val, b_val)
+                    assert value == store.g(n, k, r).eval(a=a_val, b=b_val).as_int()
+                    moved = delta if (r, n, k) == (2, 5, 3) else 0
+                    assert value - clean.g_int(n, k, r, a_val, b_val) == moved
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, None, A])
+def test_integer_readings_refuse_inexact_weights(bad):
+    store = TriangleStore()
+    store.g_int(2, 1, 0, 1, 1)  # a filled (1, 1) triangle must not answer for 1.0
+    for weights in ((bad, 1), (1, bad)):
+        with pytest.raises(ValueError):
+            store.g_int(2, 1, 0, *weights)
+        with pytest.raises(ValueError):
+            g_eval(2, 1, 0, *weights)
+    assert g_eval(3, 1, 0, True, False) == g_eval(3, 1, 0, 1, 0) == 2
 
 
 def test_triangle_rejects_negative_r():

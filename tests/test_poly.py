@@ -1,5 +1,7 @@
 """Ring axioms, substitution, and golden rendering for the polynomial core."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +105,48 @@ def test_rendering_golden():
     assert str(X ** 2 - 5) == "x^2 - 5"
     # descending lexicographic on (a, b, x, t): the b*x term precedes x^2
     assert str(range_product(X, -B, 2)) == "-b*x + x^2"
+
+
+def _reference_str(p):
+    """The renderer as first written: a fresh factor list for every term."""
+    terms = p.terms()
+    if not terms:
+        return "0"
+    parts = []
+    for mono in sorted(terms, reverse=True):
+        coeff = terms[mono]
+        factors = []
+        for name, e in zip(VARIABLES, mono):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if factors:
+            body = "*".join(([str(mag)] if mag != 1 else []) + factors)
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(("-" if coeff < 0 else "") + body)
+        else:
+            parts.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+def test_rendering_matches_the_reference_renderer():
+    rng = random.Random(2014)
+    seen = set()
+    for _ in range(400):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = tuple(rng.choice((0, 0, 1, 2, 5)) for _ in VARIABLES)
+            terms[mono] = rng.choice((1, -1, rng.randint(-40, 40)))
+        p = Polynomial(terms)
+        assert str(p) == _reference_str(p)
+        seen.update("constant" if not any(mono) else "unit" if abs(coeff) == 1
+                    else "negative" if coeff < 0 else "other"
+                    for mono, coeff in p.terms().items())
+    assert seen == {"constant", "unit", "negative", "other"}
 
 
 @given(p=polynomials(), q=polynomials(), w=polynomials())
