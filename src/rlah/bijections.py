@@ -16,7 +16,14 @@ that the survivors are exactly those distributions, not merely as many.
 The involutions move mass between adjacent items of one outer group (or
 one section of a group, for the special-singleton variants), flipping
 the count of non-distinguished inner blocks by exactly one, hence the
-sign.  Fixed-set membership is decided by a separate declarative
+sign.  All three choose their move in one order (``_step``): the
+outer groups holding no special, left to right; then, for each special
+-i in order of i, the items left of it, the items right of it and, for
+II only, a trade with the block holding label i.  III then tries a trade
+with the exempt blocks.  The order is part of each map's definition: a
+map that tries the same moves in another order is another involution,
+and every verdict may still pass, so only the golden trace digests pin
+it.  Fixed-set membership is decided by a separate declarative
 predicate so the two implementations can disagree and expose bugs.
 
 Inner blocks are referenced by value inside outer groups (blocks are
@@ -236,7 +243,8 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
 
 
 # ----------------------------------------------------------------------
-# shared surgery helpers
+# moves (each returns the moved items, or None where it cannot move) and
+# surgery helpers
 
 
 def _elements(segment) -> int:
@@ -245,8 +253,10 @@ def _elements(segment) -> int:
 
 def _seg_step(segment):
     """Merge a leading singleton into its right neighbour, or split the
-    leading element off a larger first block.  Self-inverse on segments
-    holding two or more labels."""
+    leading element off a larger first block.  None on fewer than two
+    labels; self-inverse where it moves."""
+    if _elements(segment) < 2:
+        return None
     first = segment[0]
     if len(first) == 1:
         return ((first[0],) + segment[1],) + segment[2:]
@@ -255,24 +265,23 @@ def _seg_step(segment):
 
 def _cycle_step(group):
     """Min-first variant: split the first block at its minimum, or fold
-    it onto the end of the second block when it already leads with it."""
+    it onto the end of the second block when it already leads with it.
+    None on a lone block that leads with its minimum."""
     block = group[0]
     low = min(block)
     if block[0] != low:
         cut = block.index(low)
         return (block[cut:], block[:cut]) + group[1:]
+    if len(group) == 1:
+        return None
     return (group[1] + block,) + group[2:]
-
-
-def _cycle_bad(group) -> bool:
-    return len(group) >= 2 or group[0][0] != min(group[0])
 
 
 def _sorted_step(segment):
     """First deviation from 'singletons in increasing order': either merge a
     descent pair (append the larger singleton to the block after it) or
-    split off the last element of an over-full block.  Returns None when
-    the segment is already sorted singletons."""
+    split off the last element of an over-full block.  None on sorted
+    singletons."""
     prev = None
     for t, item in enumerate(segment):
         if len(item) >= 2:
@@ -286,11 +295,10 @@ def _sorted_step(segment):
     return None
 
 
-def _with_group(cfg: OuterArrangement, index: int, new_group,
-                exempt=None) -> OuterArrangement:
+def _with_group(cfg: OuterArrangement, index: int, new_group) -> OuterArrangement:
     groups = list(cfg.outer_blocks)
     groups[index] = new_group
-    return _reassemble(cfg, groups, exempt)
+    return _reassemble(cfg, groups)
 
 
 def _reassemble(cfg: OuterArrangement, groups, exempt=None) -> OuterArrangement:
@@ -303,118 +311,83 @@ def _reassemble(cfg: OuterArrangement, groups, exempt=None) -> OuterArrangement:
     return OuterArrangement(inner, cfg.specials, tuple(groups), cfg.outer_kind)
 
 
-def _locate_special(cfg: OuterArrangement, label: int):
+def _locate(cfg: OuterArrangement, label: int):
+    """(group index, position, item) of the special ``label`` < 0, or of
+    the arranged block holding ``label`` > 0."""
     for gi, group in enumerate(cfg.outer_blocks):
         for pos, it in enumerate(group):
-            if it == label:
-                return gi, pos
-    raise MalformedConfiguration(f"special {label} missing")
-
-
-def _locate_block_with(cfg: OuterArrangement, element: int):
-    for gi, group in enumerate(cfg.outer_blocks):
-        for pos, it in enumerate(group):
-            if not isinstance(it, int) and element in it:
+            if it == label if isinstance(it, int) else label in it:
                 return gi, pos, it
-    raise MalformedConfiguration(f"no arranged block contains {element}")
+    raise MalformedConfiguration(f"label {label} is not arranged")
 
 
 # ----------------------------------------------------------------------
 # the involutions
 
 
-def invol_i(pair: SignedPair) -> SignedPair:
-    """Merge/split on the left-most outer block holding two or more labels;
-    with specials, non-special blocks first, then the left and right
-    sections around each special singleton in index order."""
-    cfg = pair.config
+def _step(cfg: OuterArrangement, group_step, section_step,
+          trade=None) -> OuterArrangement | None:
+    """The first move in the order all three involutions share (see the
+    module docstring): ``group_step`` on each outer group holding no
+    special, then, for each special -i in order of i, ``section_step`` on
+    the items left of it, then on those right of it, then ``trade(cfg, i,
+    gi)`` if given.  The moved configuration, or None where nothing moves.
+    The order is part of each map's definition; only golden trace digests
+    pin it."""
     for gi, group in enumerate(cfg.outer_blocks):
         if cfg.specials and any(isinstance(it, int) for it in group):
             continue
-        if _elements(group) >= 2:
-            return SignedPair(_with_group(cfg, gi, _seg_step(group)), -pair.sign)
-    for i0 in range(1, cfg.specials + 1):
-        gi, pos = _locate_special(cfg, -i0)
+        moved = group_step(group)
+        if moved is not None:
+            return _with_group(cfg, gi, moved)
+    for i in range(1, cfg.specials + 1):
+        gi, pos, _ = _locate(cfg, -i)
         group = cfg.outer_blocks[gi]
         left, right = group[:pos], group[pos + 1:]
-        if _elements(left) >= 2:
-            new_group = _seg_step(left) + (-i0,) + right
-        elif _elements(right) >= 2:
-            new_group = left + (-i0,) + _seg_step(right)
-        else:
-            continue
-        return SignedPair(_with_group(cfg, gi, new_group), -pair.sign)
-    raise FixedPointError("all sections hold at most one singleton")
+        moved = section_step(left)
+        if moved is not None:
+            return _with_group(cfg, gi, moved + (-i,) + right)
+        moved = section_step(right)
+        if moved is not None:
+            return _with_group(cfg, gi, left + (-i,) + moved)
+        if trade is not None:
+            moved = trade(cfg, i, gi)
+            if moved is not None:
+                return moved
+    return None
 
 
-def invol_ii(pair: SignedPair) -> SignedPair:
-    """Cycle-type involution: fix the left-most bad non-special cycle; then,
-    per special index, either merge/split inside its cycle or trade the
-    lone element with the tail of the block holding the matching positive
-    label."""
-    cfg = pair.config
-    for gi, group in enumerate(cfg.outer_blocks):
-        if isinstance(group[0], int):
-            continue
-        if _cycle_bad(group):
-            return SignedPair(_with_group(cfg, gi, _cycle_step(group)), -pair.sign)
-    for i0 in range(1, cfg.specials + 1):
-        gi, _ = _locate_special(cfg, -i0)
-        group = cfg.outer_blocks[gi]
-        rest = group[1:]  # the special leads its cycle
-        total = _elements(rest)
-        if total >= 2:
-            return SignedPair(_with_group(cfg, gi, (-i0,) + _seg_step(rest)), -pair.sign)
-        if total == 1:
-            moved = rest[0][0]
-            tgt_gi, tgt_pos, block = _locate_block_with(cfg, i0)
-            groups = list(cfg.outer_blocks)
-            groups[gi] = (-i0,)
-            target = list(groups[tgt_gi])
-            target[tgt_pos] = block + (moved,)
-            groups[tgt_gi] = tuple(target)
-            return SignedPair(_reassemble(cfg, groups), -pair.sign)
-        tgt_gi, tgt_pos, block = _locate_block_with(cfg, i0)
-        if len(block) >= 2:
-            moved = block[-1]
-            groups = list(cfg.outer_blocks)
-            target = list(groups[tgt_gi])
-            target[tgt_pos] = block[:-1]
-            groups[tgt_gi] = tuple(target)
-            groups[gi] = (-i0, (moved,))
-            return SignedPair(_reassemble(cfg, groups), -pair.sign)
-    raise FixedPointError("special cycles empty and their labels sit in singletons")
+def _flipped(pair: SignedPair, moved: OuterArrangement | None) -> SignedPair:
+    if moved is None:
+        raise FixedPointError("no move applies")
+    return SignedPair(moved, -pair.sign)
 
 
-def invol_iii(pair: SignedPair) -> SignedPair:
-    """Sorted-singleton involution on outer blocks (sections, for the special
-    variant), extended by the largest-element trade with the exempt block
-    holding label r+1-i for the truncated variant."""
-    cfg = pair.config
-    for gi, group in enumerate(cfg.outer_blocks):
-        if cfg.specials and any(isinstance(it, int) for it in group):
-            continue
-        step = _sorted_step(group)
-        if step is not None:
-            return SignedPair(_with_group(cfg, gi, step), -pair.sign)
-    if cfg.specials:
-        for i0 in range(1, cfg.specials + 1):
-            gi, pos = _locate_special(cfg, -i0)
-            group = cfg.outer_blocks[gi]
-            left, right = group[:pos], group[pos + 1:]
-            step = _sorted_step(left)
-            if step is not None:
-                return SignedPair(_with_group(cfg, gi, step + (-i0,) + right), -pair.sign)
-            step = _sorted_step(right)
-            if step is not None:
-                return SignedPair(_with_group(cfg, gi, left + (-i0,) + step), -pair.sign)
-        raise FixedPointError("all sections are sorted singletons")
+def _trade_ii(cfg: OuterArrangement, i: int, gi: int) -> OuterArrangement | None:
+    """Append the lone label of special -i's cycle (group ``gi``) to the
+    block holding label i, or, with that cycle empty, move the block's last
+    label into it; None with the cycle empty and label i a singleton."""
+    tgi, tpos, block = _locate(cfg, i)
+    rest = cfg.outer_blocks[gi][1:]  # the special leads its cycle
+    if rest:
+        block, rest = block + rest[0], ()
+    elif len(block) >= 2:
+        block, rest = block[:-1], ((block[-1],),)
+    else:
+        return None
+    groups = list(cfg.outer_blocks)
+    groups[gi] = (-i,) + rest
+    groups[tgi] = groups[tgi][:tpos] + (block,) + groups[tgi][tpos + 1:]
+    return _reassemble(cfg, groups)
+
+
+def _trade_iii(cfg: OuterArrangement) -> OuterArrangement | None:
+    """Trade the largest ordinary label between the group holding label i
+    and the exempt block holding r+1-i, for the first i where one exists."""
     exempt = cfg.exempt_blocks()
-    if not exempt:
-        raise FixedPointError("all outer blocks are sorted singletons")
     r = cfg.inner.r
     for i0 in range(1, len(exempt) + 1):
-        tgi, _, _ = _locate_block_with(cfg, i0)
+        tgi, _, _ = _locate(cfg, i0)
         group = cfg.outer_blocks[tgi]
         partner = next(b for b in exempt if r + 1 - i0 in b)
         tau_ordinary = [it[0] for it in group if it[0] > r]
@@ -427,14 +400,31 @@ def invol_iii(pair: SignedPair) -> SignedPair:
         pi = new_exempt.index(partner)
         if top in partner:
             new_exempt[pi] = partner[:-1]
-            items = [it for it in group] + [(top,)]
-            items.sort(key=_rank)
-            groups[tgi] = tuple(items)
+            groups[tgi] = tuple(sorted(group + ((top,),), key=_rank))
         else:
             groups[tgi] = tuple(it for it in group if it != (top,))
             new_exempt[pi] = partner + (top,)
-        return SignedPair(_reassemble(cfg, groups, tuple(new_exempt)), -pair.sign)
-    raise FixedPointError("no movable largest element")
+        return _reassemble(cfg, groups, tuple(new_exempt))
+    return None
+
+
+def invol_i(pair: SignedPair) -> SignedPair:
+    """Merge/split on the first group or section holding two or more labels."""
+    return _flipped(pair, _step(pair.config, _seg_step, _seg_step))
+
+
+def invol_ii(pair: SignedPair) -> SignedPair:
+    """Cycle-type involution: fix the first bad non-special cycle; then, per
+    special, merge/split inside its cycle or trade with the block holding
+    the matching positive label."""
+    return _flipped(pair, _step(pair.config, _cycle_step, _seg_step, _trade_ii))
+
+
+def invol_iii(pair: SignedPair) -> SignedPair:
+    """Sorted-singleton involution on groups and sections, extended by the
+    largest-label trade with the exempt blocks for the truncated variant."""
+    cfg = pair.config
+    return _flipped(pair, _step(cfg, _sorted_step, _sorted_step) or _trade_iii(cfg))
 
 
 _INVOLUTIONS = {"I": invol_i, "II": invol_ii, "III": invol_iii}
@@ -467,7 +457,7 @@ def _is_fixed_ii(cfg: OuterArrangement) -> bool:
         if not isinstance(item, int) and item[0] != min(item):
             return False
     for i0 in range(1, cfg.specials + 1):
-        _, _, block = _locate_block_with(cfg, i0)
+        _, _, block = _locate(cfg, i0)
         if len(block) != 1:
             return False
     return True
@@ -486,15 +476,14 @@ def _is_fixed_iii(cfg: OuterArrangement) -> bool:
                 return False
             previous = it[0]
     exempt = cfg.exempt_blocks()
-    if exempt:
-        r = cfg.inner.r
-        for i0 in range(1, len(exempt) + 1):
-            tgi, _, block = _locate_block_with(cfg, i0)
-            if len(block) != 1 or len(cfg.outer_blocks[tgi]) != 1:
-                return False
-            partner = next(b for b in exempt if r + 1 - i0 in b)
-            if len(partner) != 1:
-                return False
+    r = cfg.inner.r
+    for i0 in range(1, len(exempt) + 1):
+        tgi, _, block = _locate(cfg, i0)
+        if len(block) != 1 or len(cfg.outer_blocks[tgi]) != 1:
+            return False
+        partner = next(b for b in exempt if r + 1 - i0 in b)
+        if len(partner) != 1:
+            return False
     return True
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from . import bijections, identities
 from .distributions import DEFAULT_CAP, SizeLimitError, check_cap, oracle_row
-from .lah_core import binomial, g_eval, g_poly, row_sum_poly
+from .lah_core import binomial, g_eval, g_poly
 from .poly import ZERO
 
 EXIT_OK = 0
@@ -299,7 +299,7 @@ def cmd_sequences(args) -> Output:
         return _refuse("sequences", EXIT_USAGE, "--r must be nonnegative")
     r = args.r if args.which == "r_bell" else 0
     a_val = 1 if args.which == "a000262" else 0
-    values = [row_sum_poly(n, r).eval(a=a_val, b=1).as_int() for n in range(args.n + 1)]
+    values = [sum(g_eval(n, k, r, a_val, 1) for k in range(n + 1)) for n in range(args.n + 1)]
     status = "PASS" if values == _reference(args.which, args.n, r) else "FAIL"
     return Output(EXIT_OK if status == "PASS" else EXIT_FAIL, ("n", "value"),
                   ({"n": n, "value": value} for n, value in enumerate(values)),

@@ -63,19 +63,35 @@ def test_sign_exponent_conventions():
 # involution mechanics
 
 
-def test_invol_i_round_trip_and_sign():
-    cases = [(cid, params) for cid in ("I_POS", "I_NEG") for params in applying(cid)]
+@pytest.mark.parametrize("kind", ["I", "II", "III"])
+def test_invol_round_trip_and_sign(kind):
+    # every pair of either sign, not only the positive ones the verifier maps
+    invol, predicate = bj._INVOLUTIONS[kind], bj._FIXED[kind]
+    cases = [(cid, params) for cid in bj.CONSTRUCTION_IDS if cid.split("_")[0] == kind
+             for params in applying(cid)]
     for cid, params in cases:
         for pair in bj.iter_pairs(cid, *params):
-            if bj._is_fixed_i(pair.config):
+            if predicate(pair.config):
                 with pytest.raises(bj.FixedPointError):
-                    bj.invol_i(pair)
+                    invol(pair)
                 continue
-            image = bj.invol_i(pair)
+            image = invol(pair)
             image.config.validate()
             assert image.sign == -pair.sign
-            back = bj.invol_i(image)
+            back = invol(image)
             assert back.config == pair.config and back.sign == pair.sign
+
+
+def test_moves_return_none_exactly_where_they_cannot_move():
+    assert bj._seg_step(()) is None and bj._seg_step(((3,),)) is None
+    assert bj._seg_step(((3,), (4,))) == ((3, 4),)
+    assert bj._seg_step(((3, 4),)) == ((3,), (4,))
+    assert bj._cycle_step(((2, 5),)) is None
+    assert bj._cycle_step(((5, 2),)) == ((2,), (5,))
+    assert bj._cycle_step(((2,), (5,))) == ((5, 2),)
+    assert bj._sorted_step(()) is None and bj._sorted_step(((2,), (5,))) is None
+    assert bj._sorted_step(((5,), (2,))) == ((2, 5),)
+    assert bj._sorted_step(((2, 5),)) == ((5,), (2,))
 
 
 def test_invol_changes_inner_block_count_by_one():

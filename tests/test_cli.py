@@ -334,6 +334,22 @@ def test_poisoned_store_fails_sequences(capsys, poisoned_store):
     assert code == 1 and out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("which,r,a", [("bell", 0, 0), ("a000262", 0, 1), ("r_bell", 2, 0)])
+def test_sequences_read_the_integer_cells(capsys, monkeypatch, which, r, a):
+    # one corrupted cell (r, 4, 1) moves exactly the value at n = 4, by its
+    # offset; the command fills only the integer triangle at (a, b) = (a, 1)
+    argv = ("sequences", which, "--n", "6", "--r", str(r))
+    _, clean = run(capsys, *argv)
+    poisoned = lah_core.TriangleStore()
+    poisoned.corrupt_cell(r, 4, 1, delta=7)
+    monkeypatch.setattr(lah_core, "DEFAULT", poisoned)
+    code, out = run(capsys, *argv)
+    values = [[int(v) for v in line.split()] for line in clean.splitlines()[:-1]]
+    values[4][1] += 7
+    assert out.splitlines() == [f"{n} {v}" for n, v in values] + ["FAIL"] and code == 1
+    assert list(poisoned._triangles) == [(r, a, 1)]
+
+
 def test_poisoned_store_fails_closed_forms(capsys, poisoned_store):
     code, out = run(capsys, "constructions", "--id", "ii_eq", "--n", "3", "--k", "1",
                     "--r", "1", "--s", "1")
