@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from . import identities
-from .distributions import (MODES, LahDistribution, enumerate_distributions, is_arrangement,
-                            iter_arrangements)
+from .distributions import (MODES, LahDistribution, check_cap, enumerate_distributions,
+                            is_arrangement, iter_arrangements)
 from .identities import InvalidParameters
 
 class FixedPointError(Exception):
@@ -102,7 +102,7 @@ class OuterArrangement:
         """The outer groups with each item replaced by its index in ``items``
         (-1 for an item not there)."""
         index = {item: i for i, item in enumerate(items)}
-        return tuple(tuple(index.get(it, -1) for it in g) for g in self.outer_blocks)
+        return tuple([tuple([index.get(it, -1) for it in g]) for g in self.outer_blocks])
 
     def text(self) -> str:
         opener, closer = ("⟨", "⟩") if self.outer_kind == "min_first" else ("(", ")")
@@ -227,19 +227,43 @@ def _family(construction_id: str, n: int, k: int, r: int, s: int) -> _Family:
                    sign, closed, s - low, low)
 
 
-def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
-               cap: int | None = None) -> Iterator[SignedPair]:
-    """Enumerate the signed pair family of one construction; the inner
-    distributions of n+r labels are subject to the enumeration cap."""
-    family = _family(construction_id, n, k, r, s)
+def _layer_pairs(family: _Family, j: int, cap: int | None) -> Iterator[SignedPair]:
+    """The pairs with ``j`` inner non-distinguished blocks, all of sign
+    ``family.sign(n, j, k)``; the outer groupings are enumerated once for
+    the layer, and the inner distributions of n+r labels are subject to
+    the enumeration cap."""
     specials, outer_mode = family.specials, family.outer_mode
+    sign = family.sign(family.n, j, family.k)
+    inners = enumerate_distributions(family.n, j, family.r, family.inner_mode, cap)
+    outer = tuple(iter_arrangements(j, family.s, family.k, outer_mode))
+    for inner in inners:
+        items = family.items(inner)
+        for groups in outer:
+            yield SignedPair(OuterArrangement(
+                inner, specials, tuple([tuple([items[idx] for idx in grp]) for grp in groups]),
+                outer_mode), sign)
+
+
+def _layer_size(family: _Family, j: int, cap: int | None) -> int:
+    """How many pairs ``_layer_pairs`` yields at ``j``, counted without
+    building one: the inner groupings times the outer groupings.  The
+    cap applies as if the layer were built."""
+    check_cap(family.n, family.r, cap)
+    inner = sum(1 for _ in iter_arrangements(family.n, family.r, j, family.inner_mode))
+    return inner and inner * sum(
+        1 for _ in iter_arrangements(j, family.s, family.k, family.outer_mode))
+
+
+def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
+               cap: int | None = None, signs: tuple = (1, -1)) -> Iterator[SignedPair]:
+    """Enumerate the signed pair family of one construction layer by layer
+    (by the inner non-distinguished block count ``j``), building only the
+    layers whose sign is in ``signs``; the inner distributions of n+r
+    labels are subject to the enumeration cap."""
+    family = _family(construction_id, n, k, r, s)
     for j in range(k, n + 1):
-        sign = family.sign(n, j, k)
-        for inner in enumerate_distributions(n, j, r, family.inner_mode, cap):
-            items = family.items(inner)
-            for groups in iter_arrangements(j, s, k, outer_mode):
-                outer = tuple(tuple(items[idx] for idx in grp) for grp in groups)
-                yield SignedPair(OuterArrangement(inner, specials, outer, outer_mode), sign)
+        if family.sign(n, j, k) in signs:
+            yield from _layer_pairs(family, j, cap)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +272,7 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
 
 
 def _elements(segment) -> int:
-    return sum(len(b) for b in segment)
+    return sum(map(len, segment))
 
 
 def _seg_step(segment):
@@ -297,15 +321,16 @@ def _sorted_step(segment):
 
 def _with_group(cfg: OuterArrangement, index: int, new_group) -> OuterArrangement:
     groups = list(cfg.outer_blocks)
-    groups[index] = new_group
-    return _reassemble(cfg, groups)
+    old, groups[index] = groups[index], new_group
+    return _edited(cfg, groups, old, new_group)
 
 
-def _reassemble(cfg: OuterArrangement, groups, exempt=None) -> OuterArrangement:
-    if exempt is None:
-        exempt = cfg.exempt_blocks()
-    blocks = [it for g in groups for it in g if not isinstance(it, int)]
-    blocks.extend(exempt)
+def _edited(cfg: OuterArrangement, groups, gone, added) -> OuterArrangement:
+    """``cfg`` with the outer groups ``groups``, the inner blocks among
+    ``gone`` taken out and those among ``added`` put in; every other
+    inner block, exempt or arranged, stays."""
+    blocks = [b for b in cfg.inner.blocks if b not in gone]
+    blocks += [it for it in added if not isinstance(it, int)]
     blocks.sort(key=min)
     inner = LahDistribution(cfg.inner.n, cfg.inner.r, tuple(blocks))
     return OuterArrangement(inner, cfg.specials, tuple(groups), cfg.outer_kind)
@@ -376,9 +401,10 @@ def _trade_ii(cfg: OuterArrangement, i: int, gi: int) -> OuterArrangement | None
     else:
         return None
     groups = list(cfg.outer_blocks)
+    gone = groups[gi] + groups[tgi]
     groups[gi] = (-i,) + rest
     groups[tgi] = groups[tgi][:tpos] + (block,) + groups[tgi][tpos + 1:]
-    return _reassemble(cfg, groups)
+    return _edited(cfg, groups, gone, groups[gi] + groups[tgi])
 
 
 def _trade_iii(cfg: OuterArrangement) -> OuterArrangement | None:
@@ -396,15 +422,13 @@ def _trade_iii(cfg: OuterArrangement) -> OuterArrangement | None:
             continue
         top = max(tau_ordinary + partner_ordinary)
         groups = list(cfg.outer_blocks)
-        new_exempt = list(exempt)
-        pi = new_exempt.index(partner)
         if top in partner:
-            new_exempt[pi] = partner[:-1]
+            new_partner = partner[:-1]
             groups[tgi] = tuple(sorted(group + ((top,),), key=_rank))
         else:
             groups[tgi] = tuple(it for it in group if it != (top,))
-            new_exempt[pi] = partner + (top,)
-        return _reassemble(cfg, groups, tuple(new_exempt))
+            new_partner = partner + (top,)
+        return _edited(cfg, groups, group + (partner,), groups[tgi] + (new_partner,))
     return None
 
 
@@ -710,20 +734,26 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     """Enumerate one construction, exercise its map, and check every claim.
 
     For the involutions: the declarative fixed predicate's count and the
-    signed sum both match the closed form, every fixed pair has sign +1
-    and the map raises ``FixedPointError`` on it; for II and III, the
-    survivors relabel one-to-one onto the distributions the closed side
-    counts.  The map is applied to each non-fixed pair of sign +1 only:
-    its image must lie in the pair family, have sign -1 (the family's
-    sign at the image), fail the fixed predicate and map back to the
-    pair; a ``FixedPointError`` from either application counts as not
-    involutive.  That checks every 2-orbit once and is still complete: a
-    PASS needs ``signed == fixed == target`` with every fixed pair
-    positive, so there are as many positive non-fixed pairs as negative
-    ones; the images of the positive pairs are distinct (each maps back
-    to its own pair) non-fixed members of sign -1, so they are all of the
-    negative pairs, and the map has been checked on each of them.  With
-    ``on_apply`` a negative pair is mapped too, only to report it; the
+    signed sum both match the closed form, and the map raises
+    ``FixedPointError`` on every fixed pair; for II and III, the survivors
+    relabel one-to-one onto the distributions the closed side counts.
+
+    All pairs of one layer (one inner block count ``j``) share the sign
+    ``family.sign(n, j, k)``.  The layers of sign +1 are built: the fixed
+    predicate runs on each of their pairs, and the map is applied to each
+    non-fixed one.  Its image must lie in the pair family, have sign -1
+    (the family's sign at the image), fail the fixed predicate and map
+    back to the pair; a ``FixedPointError`` from either application
+    counts as not involutive.  The layers of sign -1 are counted, not
+    built (``_layer_size``, under the same cap).  That checks every
+    2-orbit once and is still complete: a PASS needs
+    ``signed == fixed == target``, where ``fixed`` counts positive pairs
+    only, so there are exactly as many negative pairs as positive
+    non-fixed ones.  The images of those positive pairs are distinct
+    (each maps back to its own pair), non-fixed members of sign -1, so
+    they are all of the negative pairs: none of them is fixed, and the
+    map has been checked on each.  With ``on_apply`` the negative layers
+    are built too, but only to map their pairs for the trace; the
     verdict does not depend on ``on_apply``.
 
     For IV: every image lies in the codomain and ``inv_iv`` takes it back
@@ -759,28 +789,33 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     total = fixed = signed = 0
     involutive = True
     sign_reversing = True
-    for pair in iter_pairs(construction_id, n, k, r, s, cap):
+    built = (1,) if on_apply is None else (1, -1)
+    for j in range(k, n + 1):  # the layers not built are counted
+        if family.sign(n, j, k) not in built:
+            size = _layer_size(family, j, cap)
+            total += size
+            signed -= size
+    for pair in iter_pairs(construction_id, n, k, r, s, cap, built):
         total += 1
         signed += pair.sign
+        if pair.sign < 0:
+            image = _image(invol, pair)
+            if image is not None:
+                on_apply(pair.config, image.config)
+            continue  # mapped only for the trace line
         if predicate(pair.config):
             fixed += 1
-            if pair.sign != 1:
-                sign_reversing = False
             if relabel is not None:
                 survivors.add(relabel(family, pair.config))
             if _image(invol, pair) is not None:
                 involutive = False
             continue
-        if pair.sign < 0 and on_apply is None:
-            continue  # checked as the image of a positive pair
         image = _image(invol, pair)
-        if image is not None and on_apply is not None:
-            on_apply(pair.config, image.config)
-        if pair.sign < 0:
-            continue  # mapped only for the trace line
         if image is None:
             involutive = False
             continue
+        if on_apply is not None:
+            on_apply(pair.config, image.config)
         if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
             sign_reversing = False
         if not family.holds(image.config):

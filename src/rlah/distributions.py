@@ -71,8 +71,7 @@ class LahDistribution:
 
     def follows(self, mode: str) -> bool:
         """Whether this is a canonical distribution whose blocks follow ``mode``."""
-        ranks = tuple(tuple(label - 1 for label in block) for block in self.blocks)
-        return is_arrangement(ranks, self.n, self.r, None, mode)
+        return is_arrangement(self.blocks, self.n, self.r, None, mode, start=1)
 
     def text(self) -> str:
         """Render as e.g. ``(1,5,3)|(2,9)|(6)``."""
@@ -158,26 +157,35 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
 
 
 def is_arrangement(groups: tuple[tuple[int, ...], ...], num_ordinary: int,
-                   num_distinguished: int, k: int | None, mode: str) -> bool:
-    """Whether ``iter_arrangements`` with the same arguments yields ``groups``."""
+                   num_distinguished: int, k: int | None, mode: str, start: int = 0) -> bool:
+    """Whether ``iter_arrangements`` with the same arguments yields ``groups``
+    once ``start`` is added to each of its ranks.
+
+    One pass over the groups: their minima rise, group ``i`` has the
+    distinguished rank ``start + i`` as its minimum for each ``i`` below
+    ``num_distinguished`` (so no group holds two, and no later group
+    holds one), and the ranks are ``start, start + 1, ...`` each once.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if num_ordinary < 0 or num_distinguished < 0:
+    if (num_ordinary < 0 or num_distinguished < 0 or len(groups) < num_distinguished
+            or k is not None and len(groups) != k + num_distinguished):
         return False
     seen: list[int] = []
-    previous = -1
-    for group in groups:
-        if not group or min(group) <= previous:
+    previous = start - 1
+    for i, group in enumerate(groups, start):
+        if not group:
             return False
-        previous = min(group)
-        if mode == "min_first" and group[0] != previous or (
-                mode == "increasing" and list(group) != sorted(group)):
+        low = min(group)
+        if low <= previous or i < start + num_distinguished and low != i:
             return False
-        if sum(rank < num_distinguished for rank in group) > 1:
+        if mode != "all" and (group[0] != low if mode == "min_first"
+                              else list(group) != sorted(group)):
             return False
-        seen.extend(group)
-    return (sorted(seen) == list(range(num_ordinary + num_distinguished))
-            and (k is None or len(groups) == k + num_distinguished))
+        previous = low
+        seen += group
+    seen.sort()
+    return seen == list(range(start, start + num_ordinary + num_distinguished))
 
 
 def check_cap(n: int, r: int, cap: int | None) -> None:

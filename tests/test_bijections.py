@@ -1,5 +1,6 @@
 """Exhaustive small-scale checks of the involutions and the bijection."""
 
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 
 from rlah import bijections as bj
 from rlah import cli
-from rlah.distributions import enumerate_distributions
+from rlah.distributions import SizeLimitError, enumerate_distributions
 from rlah.identities import IDENTITIES, InvalidParameters
 from rlah.lah_core import g_eval
 
@@ -309,6 +310,16 @@ def _orbit_taken_as_fixed(monkeypatch, kind, pairs):
     monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
 
 
+def _negative_taken_as_fixed(monkeypatch, kind, pairs):
+    """A fixed predicate that also accepts one non-fixed pair of sign -1;
+    the map is right.  The predicate is run on positive pairs only, so
+    this shows only when the positive pair mapping to that pair finds its
+    image fixed."""
+    predicate = bj._FIXED[kind]
+    extra = next(p.config for p in pairs if p.sign < 0 and not predicate(p.config))
+    monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg == extra or predicate(cfg))
+
+
 #: control -> (construction, parameters, installer, end of the report line)
 SIGN_CONTROLS = {
     "wrong-on-negatives": ("I_POS", (3, 1, 1, 0), _wrong_on_negatives, "inv=n sign=y FAIL"),
@@ -316,6 +327,8 @@ SIGN_CONTROLS = {
                              "inv=n sign=y FAIL"),
     "missed-fixed-point": ("I_POS", (2, 1, 1, 0), _missing_a_fixed_point, "inv=n sign=y FAIL"),
     "orbit-taken-as-fixed": ("I_POS", (3, 1, 1, 0), _orbit_taken_as_fixed, "inv=y sign=y FAIL"),
+    "negative-taken-as-fixed": ("I_POS", (3, 1, 1, 0), _negative_taken_as_fixed,
+                                "inv=n sign=y FAIL"),
 }
 
 
@@ -400,6 +413,31 @@ def _two_visit_report(cid, n, k, r, s):
             d.blocks for d in enumerate_distributions(n, k, level, mode, n + level)}
     return bj.InvolutionReport(cid, (n, k, r, s), total, fixed, signed, target,
                                involutive, sign_reversing, None, passed)
+
+
+def test_counted_layers_match_the_built_ones():
+    # the verifier counts the layers of sign -1 instead of building them
+    counted = 0
+    for cid, params in INVOLUTION_CASES:
+        n, k = params[:2]
+        family = bj._family(cid, *params)
+        built = Counter(pair.config.inner.k for pair in bj.iter_pairs(cid, *params))
+        for j in range(k, n + 1):
+            if family.sign(n, j, k) < 0:
+                assert bj._layer_size(family, j, None) == built[j], (cid, params, j)
+                counted += built[j] > 0
+    assert counted
+
+
+def test_counted_layer_over_the_cap_is_refused_before_any_pair(monkeypatch):
+    cid, (n, k, r, s) = "III_EQ", (3, 2, 1, 1)
+    assert bj._family(cid, n, k, r, s).sign(n, k, k) < 0  # the first layer is counted
+
+    def no_pair(*args):
+        raise AssertionError("a pair was built")
+    monkeypatch.setattr(bj, "SignedPair", no_pair)
+    with pytest.raises(SizeLimitError):
+        bj.verify_construction(cid, n, k, r, s, cap=n + r - 1)
 
 
 def test_sign_directed_verdict_matches_the_two_visit_reference():
