@@ -84,25 +84,19 @@ class OuterArrangement:
         return tuple(b for b in self.inner.blocks if b not in referenced)
 
     def validate(self) -> None:
-        if self.outer_kind not in MODES:
-            raise MalformedConfiguration(f"unknown outer kind {self.outer_kind!r}")
-        if self.specials < 0:
-            raise MalformedConfiguration("negative special count")
-        self.inner.validate()
+        """Raise MalformedConfiguration unless the family this configuration
+        implies holds it: its n, r, specials and outer kind, inner blocks in
+        any order, any k, and as many arranged distinguished blocks (those
+        led by 1..low) as it arranges."""
+        inner = self.inner
         referenced = set(self.referenced_blocks())
-        arranged = tuple(b for b in self.inner.blocks if b in referenced)
-        led = sum(min(b) <= self.inner.r for b in arranged)  # distinguished blocks
-        if not is_arrangement(self.positions(tuple(range(-self.specials, 0)) + arranged),
-                              len(arranged) - led, self.specials + led, None, self.outer_kind):
+        low = sum(b in referenced for b in inner.blocks[:inner.r])
+        family = _Family(inner.n, None, inner.r, self.specials + low, "all", self.outer_kind,
+                         None, None, self.specials, low)
+        if self.specials < 0 or self.outer_kind not in MODES or not family.holds(self):
             raise MalformedConfiguration(
                 f"outer groups {self.outer_blocks} are not a canonical {self.outer_kind} "
-                f"arrangement of {self.specials} specials and inner blocks")
-
-    def positions(self, items: tuple) -> tuple:
-        """The outer groups with each item replaced by its index in ``items``
-        (-1 for an item not there)."""
-        index = {item: i for i, item in enumerate(items)}
-        return tuple([tuple([index.get(it, -1) for it in g]) for g in self.outer_blocks])
+                f"arrangement of {self.specials} specials and inner blocks {inner.blocks}")
 
     def text(self) -> str:
         opener, closer = ("⟨", "⟩") if self.outer_kind == "min_first" else ("(", ")")
@@ -183,7 +177,7 @@ class _Family(NamedTuple):
     distinguished blocks, the bijection IV none."""
 
     n: int
-    k: int
+    k: int | None  # None: any number of outer groups
     r: int
     s: int
     inner_mode: str
@@ -199,13 +193,17 @@ class _Family(NamedTuple):
         return tuple(range(-self.specials, 0)) + inner.blocks[:self.low] + inner.blocks[self.r:]
 
     def holds(self, cfg: OuterArrangement) -> bool:
-        """Whether a configuration belongs to the family: ``iter_pairs``
-        yields it."""
+        """Whether a configuration belongs to the family (``iter_pairs``
+        yields it), reading its outer groups as the ranks of the family's
+        items (-1 for an item that is none of them)."""
         inner = cfg.inner
-        return (inner.n == self.n and inner.r == self.r and cfg.specials == self.specials
-                and cfg.outer_kind == self.outer_mode and inner.follows(self.inner_mode)
-                and is_arrangement(cfg.positions(self.items(inner)), inner.k, self.s, self.k,
-                                   self.outer_mode))
+        if not (inner.n == self.n and inner.r == self.r and cfg.specials == self.specials
+                and cfg.outer_kind == self.outer_mode and inner.follows(self.inner_mode)):
+            return False
+        rank = {item: i for i, item in enumerate(self.items(inner))}
+        return is_arrangement(tuple([tuple([rank.get(it, -1) for it in g])
+                                     for g in cfg.outer_blocks]),
+                              inner.k, self.s, self.k, self.outer_mode)
 
 
 def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -> bool:
@@ -604,10 +602,10 @@ def _concat_desc(cycles) -> tuple[int, ...]:
 
 def map_iv(cfg: OuterArrangement) -> LahDistribution:
     """Flatten an (inner cycles, outer arrangement) pair into a single
-    distribution at the averaged distinguished level (r+s)/2.  The input
-    is validated, the output is not: the verifier's codomain test is its
-    check."""
-    cfg.validate()
+    distribution at the averaged distinguished level (r+s)/2.  Only the
+    parity and the outer kind are checked: the input is a pair of the IV
+    family (``iter_pairs`` yields it, or ``OuterArrangement.validate``
+    accepts it), and the verifier's codomain test checks the output."""
     r = cfg.inner.r
     s = cfg.specials
     if (r - s) % 2:
@@ -655,15 +653,16 @@ def map_iv(cfg: OuterArrangement) -> LahDistribution:
 
 
 def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
-    """Rebuild the unique pre-image of a distribution under map_iv.  The
-    input is validated, the output is not: the verifier compares it with
-    the enumerated pair."""
+    """Rebuild the unique pre-image of a distribution under map_iv.  Only
+    the parity and the level are checked: the input is a canonical
+    distribution (the verifier has tested it against the codomain, or
+    ``LahDistribution.validate`` accepts it), and the verifier compares
+    the output with the enumerated pair."""
     if (r - s) % 2:
         raise InvalidParameters("r and s must have the same parity")
     mid = (r + s) // 2
     if dist.r != mid:
         raise MalformedConfiguration(f"expected distinguished level {mid}, got {dist.r}")
-    dist.validate()
     lead: dict[int, tuple[int, ...]] = {}
     special_cycles: dict[int, tuple] = {i: () for i in range(1, s + 1)}
     plain_groups: list[tuple] = []
@@ -756,12 +755,13 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     are built too, but only to map their pairs for the trace; the
     verdict does not depend on ``on_apply``.
 
-    For IV: every image lies in the codomain and ``inv_iv`` takes it back
-    to its pair, so ``map_iv`` is injective, and the number of pairs equals
-    the closed form, which certifies bijectivity.
+    For IV: ``map_iv`` takes each enumerated pair as it is, every image
+    lies in the codomain (tested before ``inv_iv`` sees it) and ``inv_iv``
+    takes it back to its pair, so ``map_iv`` is injective, and the number
+    of pairs equals the closed form, which certifies bijectivity.
     """
     family = _family(construction_id, n, k, r, s)
-    target = closed_form(construction_id, n, k, r, s)
+    target = family.closed(n, k, r, s)
     params = (n, k, r, s)
     if construction_id == "IV":
         mid = (r + s) // 2

@@ -147,21 +147,16 @@ def cmd_table(args) -> Output:
 # check
 
 
-def _identity_ids(text: str) -> list[str] | None:
-    if text == "all":
-        return list(identities.IDENTITY_IDS)
-    ids = []
-    for piece in text.split(","):
-        ident = piece.strip().upper()
-        if ident not in identities.IDENTITY_IDS:
-            return None
-        ids.append(ident)
-    return ids
+def _ids(text: str, known: tuple[str, ...]) -> tuple[list[str], list[str]]:
+    """The ids an ``--id`` list names (``all``: every known one, else
+    comma-separated and case-insensitive), and those of them not known."""
+    ids = list(known) if text == "all" else [piece.strip().upper() for piece in text.split(",")]
+    return ids, [i for i in ids if i not in known]
 
 
 def cmd_check(args) -> Output:
-    ids = _identity_ids(args.id)
-    if ids is None:
+    ids, unknown = _ids(args.id, identities.IDENTITY_IDS)
+    if unknown:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
     try:
         reports, skipped = identities.sweep_detailed(
@@ -229,13 +224,9 @@ def cmd_oracle(args) -> Output:
 
 
 def cmd_constructions(args) -> Output:
-    if args.id == "all":
-        ids = list(bijections.CONSTRUCTION_IDS)
-    else:
-        ids = [piece.strip().upper() for piece in args.id.split(",")]
-        bad = [i for i in ids if i not in bijections.CONSTRUCTION_IDS]
-        if bad:
-            return _refuse("constructions", EXIT_USAGE, f"unknown id(s) {bad}")
+    ids, unknown = _ids(args.id, bijections.CONSTRUCTION_IDS)
+    if unknown:
+        return _refuse("constructions", EXIT_USAGE, f"unknown id(s) {unknown}")
     selected = [(cid, n, k, r, s) for cid in ids
                 for n, k, r, s in product(args.n, args.k, args.r, args.s)
                 if bijections.construction_applies(cid, n, k, r, s)]

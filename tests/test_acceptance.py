@@ -95,11 +95,15 @@ def test_criterion_6_specialization_fixtures():
 
 
 def test_criterion_7_fault_injection(monkeypatch):
-    """A +1 corruption of any single triangle cell breaks criteria 1-4."""
+    """A +1 corruption of any single triangle cell (n <= 5, r <= 2) fails
+    the CONNECTION check of its row, and the oracle disagrees with the
+    corrupted store at that cell and at no other cell of the row; a
+    corrupted CONNECTION/ORTH/TRIPLE sweep reports its failures with their
+    witnesses."""
     ok = True
-    clean = lah_core.TriangleStore()
     for r in range(3):
         for n in range(6):
+            row = oracle_row(n, r)
             for k in range(n + 1):
                 checker = idn.Checker()
                 checker.corrupt_cell(r, n, k, delta=1)
@@ -108,7 +112,7 @@ def test_criterion_7_fault_injection(monkeypatch):
                 if idn.check_connection(n, r).passed:
                     ok = False
                 # the oracle disagrees at exactly the corrupted cell
-                if checker.g(n, k, r) == clean.g(n, k, r):
+                if [j for j in range(n + 1) if checker.g(n, j, r) != row.get(j, ZERO)] != [k]:
                     ok = False
     # a corrupted sweep must surface a failing report carrying its witness
     checker = idn.Checker()

@@ -632,6 +632,22 @@ def test_outer_arrangement_validate_catches_duplicates():
     for specials, groups, kind in bad:
         with pytest.raises(bj.MalformedConfiguration):
             bj.OuterArrangement(inner, specials, groups, kind).validate()
+    # at r = 2 the block led by 2 is arranged while the block led by 1 is left out
+    inner = bj.LahDistribution(1, 2, ((1,), (2,), (3,)))
+    with pytest.raises(bj.MalformedConfiguration):
+        bj.OuterArrangement(inner, 0, (((2,),), ((3,),)), "all").validate()
+
+
+def test_validate_accepts_every_pair():
+    # validate is membership of the family a configuration implies, so it
+    # holds every pair of every construction's family
+    pairs = 0
+    for cid in bj.CONSTRUCTION_IDS:
+        for params in applying(cid):
+            for pair in bj.iter_pairs(cid, *params):
+                pair.config.validate()
+                pairs += 1
+    assert pairs == 9705
 
 
 def test_trace_texts():
