@@ -87,13 +87,17 @@ class OuterArrangement:
         """Raise MalformedConfiguration unless the family this configuration
         implies holds it: its n, r, specials and outer kind, inner blocks in
         any order, any k, and as many arranged distinguished blocks (those
-        led by 1..low) as it arranges."""
+        led by 1..low) as it arranges.  Every outer item must be an int or
+        a tuple of ints."""
         inner = self.inner
-        referenced = set(self.referenced_blocks())
+        well_formed = self.specials >= 0 and self.outer_kind in MODES and all(
+            isinstance(it, int) or isinstance(it, tuple) and all(isinstance(e, int) for e in it)
+            for g in self.outer_blocks for it in g)
+        referenced = set(self.referenced_blocks()) if well_formed else set()
         low = sum(b in referenced for b in inner.blocks[:inner.r])
         family = _Family(inner.n, None, inner.r, self.specials + low, "all", self.outer_kind,
                          None, None, self.specials, low)
-        if self.specials < 0 or self.outer_kind not in MODES or not family.holds(self):
+        if not (well_formed and family.holds(self)):
             raise MalformedConfiguration(
                 f"outer groups {self.outer_blocks} are not a canonical {self.outer_kind} "
                 f"arrangement of {self.specials} specials and inner blocks {inner.blocks}")

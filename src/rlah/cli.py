@@ -10,8 +10,8 @@ nothing to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from itertools import chain, product
 from typing import Iterable, NamedTuple
@@ -40,16 +40,37 @@ class Output(NamedTuple):
     payload: object = None
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it with minimal quoting: ``None``
+    is empty, anything else is ``str(value)``, wrapped in double quotes
+    (inner ones doubled) if it holds a comma, a double quote or a newline.
+    A carriage return, a tab or a leading space is not quoted."""
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(fmt: str, out: Output) -> None:
+    """Print ``out`` in ``fmt``.  csv writes the header, then each row's
+    ``header`` columns (a missing one empty, others ignored) through
+    ``_csv_field``, one row at a time.  For every header of two or more
+    columns (the writer quotes a lone empty field) these are the bytes of
+    ``csv.DictWriter(..., extrasaction="ignore", lineterminator="\\n")``
+    without the csv module's writer, which tests every character of every
+    field: on the 38 MB of polynomial text of ``table --n 120 --r 2`` it
+    took 0.75 s where the join takes 0.03 s (CPython 3.11, one Xeon core)."""
     if fmt == "json":
         document = list(out.rows) if out.payload is None else out.payload
         # sort_keys plus default separators keep load/dump round trips byte-identical
         print(json.dumps(document, sort_keys=True))
     elif fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, out.header, extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(out.rows)
+        write = sys.stdout.write
+        write(",".join(map(_csv_field, out.header)) + "\n")
+        for row in out.rows:
+            write(",".join([_csv_field(row.get(key)) for key in out.header]) + "\n")
     else:
         for line in out.lines:
             print(line)
@@ -315,7 +336,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     out = _HANDLERS[args.command](args)
     if out.code <= EXIT_FAIL:
-        _emit(args.format, out)
+        try:
+            _emit(args.format, out)
+        except BrokenPipeError:
+            # the reader closed stdout early: send what is left, and the
+            # interpreter's final flush, nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return out.code
 
 

@@ -628,6 +628,7 @@ def test_outer_arrangement_validate_catches_duplicates():
         (1, (((1,), (3,)), (-1, (2, 4))), "all"),          # groups out of canonical order
         (1, good, "lah"),                                  # unknown kind
         (-1, (((1,), (2, 4), (3,)),), "all"),              # negative special count
+        (1, ((-1, [2, 4]), ((1,), (3,))), "all"),          # a block given as a list
     ]
     for specials, groups, kind in bad:
         with pytest.raises(bj.MalformedConfiguration):
@@ -636,6 +637,11 @@ def test_outer_arrangement_validate_catches_duplicates():
     inner = bj.LahDistribution(1, 2, ((1,), (2,), (3,)))
     with pytest.raises(bj.MalformedConfiguration):
         bj.OuterArrangement(inner, 0, (((2,),), ((3,),)), "all").validate()
+    # outer items that are neither an int nor a tuple block of ints
+    inner = bj.LahDistribution(2, 0, ((1,), (2,)))
+    for groups in ((([2],),), (((1, [2]),),), ((("2",),),)):
+        with pytest.raises(bj.MalformedConfiguration):
+            bj.OuterArrangement(inner, 0, groups, "all").validate()
 
 
 def test_validate_accepts_every_pair():

@@ -397,3 +397,29 @@ def test_module_entry_point():
                            "--a", "1", "--b", "1"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "0 1"]
+
+
+def test_csv_quotes_as_the_csv_module_does(capsys):
+    header = ("a", "b", "c")
+    rows = [{"a": "x,y", "b": 'say "hi"', "c": "two\nlines"},
+            {"a": "cr\rhere", "b": "tab\there", "c": " leading space"},
+            {"a": "", "b": None},                                 # "c" missing
+            {"a": -7, "b": 10 ** 200, "c": '"', "extra": "ignored"},
+            {"a": ',"\n', "b": "a + b", "c": 0}]
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, header, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    cli._emit("csv", cli.Output(0, header, iter(rows)))
+    assert capsys.readouterr().out == expected.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_closed_stdout_stops_quietly(fmt):
+    proc = subprocess.Popen([sys.executable, "-m", "rlah", "table", "--n", "120", "--r", "2",
+                             "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in stderr
