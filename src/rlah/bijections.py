@@ -732,7 +732,6 @@ def _image(invol, pair: SignedPair) -> SignedPair | None:
 
 
 def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
-                        on_apply: Callable[[OuterArrangement, object], None] | None = None,
                         cap: int | None = None) -> InvolutionReport:
     """Enumerate one construction, exercise its map, and check every claim.
 
@@ -755,9 +754,8 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     non-fixed ones.  The images of those positive pairs are distinct
     (each maps back to its own pair), non-fixed members of sign -1, so
     they are all of the negative pairs: none of them is fixed, and the
-    map has been checked on each.  With ``on_apply`` the negative layers
-    are built too, but only to map their pairs for the trace; the
-    verdict does not depend on ``on_apply``.
+    map has been checked on each.  The verifier takes no trace input:
+    ``trace_construction`` applies the map again for trace text.
 
     For IV: ``map_iv`` takes each enumerated pair as it is, every image
     lies in the codomain (tested before ``inv_iv`` sees it) and ``inv_iv``
@@ -778,8 +776,6 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
             if not (image.n == n and image.r == mid and image.k == k and image.follows("all")
                     and inv_iv(image, r, s) == pair.config):
                 round_trips = False
-            if on_apply is not None:
-                on_apply(pair.config, image)
         bijective = round_trips and total == target
         return InvolutionReport(construction_id, params, total, total, total, target,
                                 round_trips, True, bijective, bijective)
@@ -793,20 +789,14 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     total = fixed = signed = 0
     involutive = True
     sign_reversing = True
-    built = (1,) if on_apply is None else (1, -1)
-    for j in range(k, n + 1):  # the layers not built are counted
-        if family.sign(n, j, k) not in built:
+    for j in range(k, n + 1):  # the negative layers are counted
+        if family.sign(n, j, k) < 0:
             size = _layer_size(family, j, cap)
             total += size
             signed -= size
-    for pair in iter_pairs(construction_id, n, k, r, s, cap, built):
+    for pair in iter_pairs(construction_id, n, k, r, s, cap, (1,)):
         total += 1
         signed += pair.sign
-        if pair.sign < 0:
-            image = _image(invol, pair)
-            if image is not None:
-                on_apply(pair.config, image.config)
-            continue  # mapped only for the trace line
         if predicate(pair.config):
             fixed += 1
             if relabel is not None:
@@ -818,8 +808,6 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         if image is None:
             involutive = False
             continue
-        if on_apply is not None:
-            on_apply(pair.config, image.config)
         if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
             sign_reversing = False
         if not family.holds(image.config):
@@ -836,3 +824,23 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
             d.blocks for d in enumerate_distributions(n, k, level, mode, n + level)}
     return InvolutionReport(construction_id, params, total, fixed, signed, target,
                             involutive, sign_reversing, None, passed)
+
+
+def trace_construction(construction_id: str, n: int, k: int, r: int, s: int,
+                       cap: int | None = None) -> Iterator[tuple]:
+    """Yield ``(before, after)`` for each pair of the family, in
+    ``iter_pairs`` order and over both signs, that the construction's map
+    moves: the pair's configuration and that of its image.  Under IV every
+    pair moves (``after`` is a ``LahDistribution``); under an involution
+    every pair on which the map does not raise ``FixedPointError``.  Both
+    render with ``text()``.  Nothing is checked here and nothing is kept:
+    the verdict comes from ``verify_construction`` alone."""
+    if construction_id == "IV":
+        for pair in iter_pairs(construction_id, n, k, r, s, cap):
+            yield pair.config, map_iv(pair.config)
+        return
+    invol = _INVOLUTIONS[construction_id.split("_")[0]]
+    for pair in iter_pairs(construction_id, n, k, r, s, cap):
+        image = _image(invol, pair)
+        if image is not None:
+            yield pair.config, image.config

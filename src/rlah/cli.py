@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated identity ids, or 'all'")
     for flag in ("--n", "--k", "--m", "--r", "--s"):
         p_check.add_argument(flag, type=_parse_span, default=(0,), metavar="LO..HI")
-    p_check.add_argument("--jobs", type=int, default=1, metavar="N")
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="compare the triangles to brute-force enumeration")
@@ -181,7 +180,7 @@ def cmd_check(args) -> Output:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
     try:
         reports, skipped = identities.sweep_detailed(
-            ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s, jobs=args.jobs)
+            ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s)
     except identities.InvalidParameters as exc:
         return _refuse("check", EXIT_USAGE, exc)
 
@@ -257,26 +256,25 @@ def cmd_constructions(args) -> Output:
             check_cap(n, r, args.cap_override)
     except SizeLimitError as exc:
         return _refuse("constructions", EXIT_CAP, exc)
-    trace_lines: list[str] = []
-
-    def on_apply(before, after):
-        trace_lines.append(f"  {before.text()}  ->  {after.text()}")
-
-    reports = []
-    for cid, n, k, r, s in selected:
-        trace_lines.clear()
-        report = bijections.verify_construction(
-            cid, n, k, r, s, on_apply=on_apply if args.trace else None, cap=args.cap_override)
-        reports.append((report, tuple(trace_lines)))
+    reports = [bijections.verify_construction(*task, cap=args.cap_override)
+               for task in selected]
     header = ("construction", "n", "k", "r", "s", "pairs", "fixed", "signed", "target",
               "status")
     rows = (dict(zip(header, (rep.construction_id, *rep.params, rep.total_pairs,
                               rep.fixed_points, rep.signed_sum, rep.closed_form,
                               "PASS" if rep.passed else "FAIL")))
-            for rep, _ in reports)
-    lines = (line for rep, trace in reports for line in (*trace, rep.line()))
-    code = EXIT_OK if all(rep.passed for rep, _ in reports) else EXIT_FAIL
-    return Output(code, header, rows, lines)
+            for rep in reports)
+
+    def lines():
+        for task, rep in zip(selected, reports):
+            if args.trace:  # a second pass over the family, rendered as it goes
+                for before, after in bijections.trace_construction(
+                        *task, cap=args.cap_override):
+                    yield f"  {before.text()}  ->  {after.text()}"
+            yield rep.line()
+
+    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_FAIL
+    return Output(code, header, rows, lines())
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +327,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values may run past CPython's default 4,300-digit int/str limit
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,9 +13,7 @@ a corrupted cell, say), install it as ``DEFAULT``.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -375,51 +373,36 @@ def check_inversion(n_max: int, r: int, seed: int) -> CheckReport:
 # sweeping
 
 
-def _run(task: tuple[str, tuple]) -> CheckReport:
-    check, values = task
-    return globals()[check](*values)
-
-
 def _order(identity_id: str, params) -> tuple:
     return (identity_id, tuple(-1 if v is None else v for v in params))
 
 
 def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
                    k: Iterable[int] = (0,), m: Iterable[int] = (0,),
-                   r: Iterable[int] = (0,), s: Iterable[int] = (0,), jobs: int = 1):
-    """Run the selected checks over Cartesian ranges.
+                   r: Iterable[int] = (0,), s: Iterable[int] = (0,)):
+    """Run the selected checks over Cartesian ranges, one after another in
+    this process.
 
     Returns (reports, skipped) where skipped lists the precondition-violating
     tuples as (identity_id, params).  Reports come back in canonical
-    (identity_id, params) order regardless of execution order.  Checks
-    read ``lah_core.DEFAULT``, and INVERSION's PRNG seed comes from ``s``.
-    ``jobs`` > 1 runs the checks in at most min(jobs, usable CPUs) worker
-    processes, each reading the ``DEFAULT`` its start method gives it.
+    (identity_id, params) order.  Checks read ``lah_core.DEFAULT`` and are
+    looked up by name at call time, and INVERSION's PRNG seed comes from ``s``.
     """
-    if jobs < 1:
-        raise InvalidParameters(f"jobs must be at least 1, got {jobs}")
     if ids is None:
         ids = IDENTITY_IDS
     unknown = [i for i in ids if i not in IDENTITIES]
     if unknown:
         raise InvalidParameters(f"unknown identity ids: {unknown}")
     ranges = {"n": tuple(n), "k": tuple(k), "m": tuple(m), "r": tuple(r), "s": tuple(s)}
-    runnable: list[tuple[str, tuple]] = []
+    reports: list[CheckReport] = []
     skipped: list[tuple[str, tuple]] = []
     for ident in ids:
         fields, precondition, check = IDENTITIES[ident]
         for values in product(*(ranges[name] for name in fields)):
             if precondition(*values):
-                runnable.append((check, values))
+                reports.append(globals()[check](*values))
             else:
                 skipped.append((ident, _slots(fields, values)))
-    if jobs > 1:
-        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=min(jobs, usable)) as pool:
-            reports = list(pool.map(_run, runnable, chunksize=16))
-    else:
-        reports = [_run(task) for task in runnable]
     reports.sort(key=lambda rep: _order(rep.identity_id, rep.params))
     skipped.sort(key=lambda item: _order(*item))
     return reports, skipped

@@ -268,9 +268,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial<{self}>"
 
-    def __reduce__(self):
-        return (Polynomial, (self._terms,))
-
 
 ZERO = Polynomial()
 ONE = Polynomial.constant(1)

@@ -447,12 +447,26 @@ def test_sign_directed_verdict_matches_the_two_visit_reference():
         assert report.passed, report.line()
 
 
+def test_trace_moves_every_pair_off_the_fixed_set():
+    # the trace is a separate pass over both signs: an involution moves each
+    # non-fixed pair, the bijection every pair
+    for cid, params in INVOLUTION_CASES + [("IV", params) for params in applying("IV")]:
+        report = bj.verify_construction(cid, *params)
+        events = sum(1 for _ in bj.trace_construction(cid, *params))
+        moved = report.total_pairs - (0 if cid == "IV" else report.fixed_points)
+        assert events == moved, (cid, params)
+
+
 @pytest.mark.parametrize("control", [None, *SIGN_CONTROLS])
-def test_trace_callback_does_not_change_the_verdict(monkeypatch, control):
+def test_trace_does_not_change_the_verdict(monkeypatch, control):
+    # the trace pass shares the maps with the verifier: under a broken map it
+    # must still run to the end, and the verdict after it is the one before
     cases = INVOLUTION_CASES if control is None else [_install(monkeypatch, control)]
     for cid, params in cases:
-        traced = bj.verify_construction(cid, *params, on_apply=lambda before, after: None)
-        assert traced == bj.verify_construction(cid, *params)
+        before = bj.verify_construction(cid, *params)
+        for _ in bj.trace_construction(cid, *params):
+            pass
+        assert bj.verify_construction(cid, *params) == before, (cid, params)
 
 
 def test_constructions_partition_their_identities():
@@ -657,10 +671,8 @@ def test_validate_accepts_every_pair():
 
 
 def test_trace_texts():
-    events = []
-    bj.verify_construction("I_POS", 2, 1, 1, 0,
-                           on_apply=lambda before, after: events.append(
-                               (before.text(), after.text())))
+    events = [(before.text(), after.text())
+              for before, after in bj.trace_construction("I_POS", 2, 1, 1, 0)]
     assert len(events) == 4
     for before, after in events:
         assert "(" in before and "(" in after

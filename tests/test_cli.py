@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlah import bijections, cli, distributions, identities, lah_core
+from rlah.lah_core import g_eval
+from test_cli_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -169,6 +172,35 @@ def test_constructions_trace(capsys):
     assert sum("->" in line for line in lines) == 4
 
 
+def test_trace_lines_are_made_while_printing(monkeypatch):
+    # each tuple's trace is a pass of its own, started just before its lines
+    started = []
+    trace = bijections.trace_construction
+
+    def counted(*args, **kwargs):
+        started.append(args)
+        return trace(*args, **kwargs)
+    monkeypatch.setattr(bijections, "trace_construction", counted)
+    args = cli.build_parser().parse_args(["constructions", "--id", "i_pos", "--n", "2",
+                                          "--k", "1", "--r", "1", "--s", "0..1", "--trace"])
+    lines = iter(cli.cmd_constructions(args).lines)
+    assert "->" in next(lines) and len(started) == 1
+    rest = list(lines)
+    assert len(started) == 2 and sum(line.endswith("PASS") for line in rest) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_is_not_made_for_csv_or_json(capsys, monkeypatch, fmt):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a trace was made")
+    monkeypatch.setattr(bijections, "trace_construction", no_trace)
+    traced = [entry for entry in GOLDEN if "--trace" in entry[0] and f"--format {fmt}" in entry[0]]
+    assert traced
+    for command, code, digest in traced:
+        got, out = run(capsys, *command.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), command
+
+
 def test_constructions_unknown_id(capsys):
     code, _ = run(capsys, "constructions", "--id", "zzz", "--n", "1")
     assert code == 2
@@ -240,16 +272,12 @@ def test_usage_error_exit_code(capsys):
     ("table", "--n", "2", "--r", "0", "--jobs", "4", "--cap-override", "1"),
     ("table", "--n", "2", "--r", "0", "--jobs", "4"),
     ("check", "--id", "connection", "--cap-override", "1"),
+    ("check", "--id", "connection", "--jobs", "2"),
     ("oracle", "--n", "1", "--r", "0", "--jobs", "2"),
     ("sequences", "bell", "--n", "3", "--cap-override", "12"),
 ])
 def test_flags_only_where_they_act(capsys, argv):
     assert run(capsys, *argv) == (2, "")
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_check_jobs_below_one_is_a_usage_error(capsys, jobs):
-    assert run(capsys, "check", "--id", "connection", "--jobs", jobs) == (2, "")
 
 
 def _span(hi):
@@ -262,14 +290,12 @@ def _value(lo, hi):
 
 
 # each subcommand's flags with the values the fuzzer draws for them (None: a
-# switch); enumerating commands stay at n <= 3, r, s <= 2 and --jobs starts
-# no worker process
+# switch); enumerating commands stay at n <= 3, r, s <= 2
 FUZZ_FLAGS = {
     "table": {"--n": _value(-2, 4), "--r": _value(-2, 4), "--a": _value(-2, 4),
               "--b": _value(-2, 4)},
     "check": {"--id": st.sampled_from(["all", "connection", "rlah_i,rlah_iv", "nope", ""]),
-              **{flag: _span(4) for flag in ("--n", "--k", "--m", "--r", "--s")},
-              "--jobs": _value(-1, 1)},
+              **{flag: _span(4) for flag in ("--n", "--k", "--m", "--r", "--s")}},
     "oracle": {"--n": _value(-2, 3), "--r": _value(-2, 2), "--cap-override": _value(-2, 4)},
     "constructions": {"--id": st.sampled_from(["all", "i_pos", "iv", "zzz"]),
                       "--n": _span(3), "--k": _span(4), "--r": _span(2), "--s": _span(2),
@@ -373,6 +399,30 @@ def _table_cells(fmt, out):
             for k, value in enumerate(line.split(" "))}
 
 
+@pytest.fixture
+def default_int_digits():
+    """CPython's default limit on int/str conversion, restored afterwards
+    (interpreters before 3.10.7 have no limit)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_prints_integers_of_any_length(capsys, default_int_digits, fmt):
+    big = 10 ** 100  # row 50 holds values of over 5,000 digits
+    code, out = run(capsys, "table", "--n", "50", "--r", "0", "--a", str(big), "--b", str(big),
+                    "--format", fmt)
+    assert code == 0
+    cells = _table_cells(fmt, out)
+    assert len(str(cells[50, 1])) > 4300
+    assert cells == {(n, k): g_eval(n, k, 0, big, big) for n in range(51) for k in range(n + 1)}
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_poisoned_store_reaches_the_numeric_table(capsys, poisoned_store, fmt):
     clean = lah_core.TriangleStore().g(3, 1, 1).eval(a=2, b=3).as_int()
@@ -397,6 +447,16 @@ def test_module_entry_point():
                            "--a", "1", "--b", "1"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "0 1"]
+
+
+def test_cli_import_starts_no_process_machinery():
+    # importing the CLI loads nothing for worker processes or pickling
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, rlah.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "rlah.cli" in loaded
+    assert not [name for name in loaded
+                if name.split(".")[0] in ("concurrent", "multiprocessing", "pickle")]
 
 
 def test_csv_quotes_as_the_csv_module_does(capsys):

@@ -1,7 +1,6 @@
 """Per-identity checks: worked instances, precondition errors, negative controls."""
 
 import inspect
-import os
 
 import pytest
 
@@ -314,40 +313,6 @@ def test_sweep_takes_the_inversion_seed_from_s():
     reports = idn.sweep_detailed(["INVERSION"], n=(4,), r=(0,), s=(5, 6))[0]
     assert [rep.params[4] for rep in reports] == [5, 6]
     assert reports == [idn.check_inversion(4, 0, 5), idn.check_inversion(4, 0, 6)]
-
-
-def test_sweep_parallel_matches_serial():
-    serial = idn.sweep_detailed(["CONNECTION"], n=range(5), r=range(3))[0]
-    parallel = idn.sweep_detailed(["CONNECTION"], n=range(5), r=range(3), jobs=2)[0]
-    assert serial == parallel
-
-
-def test_sweep_runs_at_most_one_worker_per_usable_cpu(monkeypatch):
-    started = []
-
-    class SerialPool:
-        """Records the worker count it was asked for and starts no process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(idn, "ProcessPoolExecutor", SerialPool)
-    serial = idn.sweep_detailed(["CONNECTION"], n=range(4), r=range(2))
-    assert idn.sweep_detailed(["CONNECTION"], n=range(4), r=range(2), jobs=100000) == serial
-    assert started == [min(100000, len(os.sched_getaffinity(0)))]
-    for jobs in (0, -1):
-        with pytest.raises(idn.InvalidParameters):
-            idn.sweep_detailed(["CONNECTION"], n=range(4), r=range(2), jobs=jobs)
-    assert len(started) == 1
 
 
 def test_corrupted_cell_fails_with_witness(monkeypatch):
