@@ -14,9 +14,10 @@ with G(0, 0) = 1 and G(n, k) = 0 outside 0 <= k <= n.  Specialising
 and r-Stirling subset numbers respectively.
 
 r is always a concrete nonnegative integer parameter, never a variable;
-each r owns its own triangle.  Evaluation is a ring homomorphism, so the
-recurrence run over integer weights fills each specialisation's integer
-triangle directly.  The module-level ``DEFAULT`` store holds them all.
+each r owns its own triangle, its cells filled as dense a/b coefficient
+vectors (see ``LahTriangle``).  Evaluation is a ring homomorphism, so the
+scalar recurrence run over int weights fills each specialisation's
+integer triangle directly.  The module-level ``DEFAULT`` store holds them.
 """
 
 from __future__ import annotations
@@ -24,24 +25,30 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
-from .poly import A, B, T, X, ZERO, Polynomial, range_product
+from .poly import ONE, T, X, ZERO, Polynomial, range_product
 
 
 class LahTriangle:
     """Cells G(n, k) for one fixed distinguished count r, filled on demand.
 
-    The weights are ``A``, ``B`` for the symbolic cells or two ints for a
-    specialisation.  Extended rows are never mutated, so completed
-    triangles can be shared across readers.
+    With no weights the cells are symbolic.  G(n, k) is homogeneous of
+    degree n - k in a and b, so a row is filled as vectors c with c[i] the
+    coefficient of a^i * b^(n-k-i), and a*n + b*k + (a+b)*r = a*(n+r) +
+    b*(k+r) makes one step ``new[i] = lo[i] + (n+r)*hi[i-1] + (k+r)*hi[i]``
+    with lo = G(n, k-1) and hi = G(n, k).  Only the last row's vectors are
+    kept; each cell is stored once as its Polynomial.  Two int weights give
+    that specialisation's integer triangle, filled by the scalar recurrence.
+    Stored rows are never mutated, so readers share them.
     """
 
-    def __init__(self, r: int, a: Polynomial | int = A, b: Polynomial | int = B) -> None:
+    def __init__(self, r: int, a: int | None = None, b: int | None = None) -> None:
         if r < 0:
             raise ValueError("r must be nonnegative")
-        self.r = r
-        self._a, self._b, self._zero = a, b, a * 0
-        self._rows: list[dict[int, Polynomial | int]] = [{0: self._zero + 1}]
-        self._r_term = (a + b) * r
+        if not (a is None and b is None or isinstance(a, int) and isinstance(b, int)):
+            raise ValueError(f"weights must be two ints or none, not a={a!r}, b={b!r}")
+        self.r, self._a, self._b = r, a, b
+        self._zero, self._last = (ZERO, [[1]]) if a is None else (0, [1])
+        self._rows: list[list[Polynomial] | list[int]] = [[ONE] if a is None else self._last]
 
     @property
     def max_n(self) -> int:
@@ -53,19 +60,20 @@ class LahTriangle:
             return self._zero
         while self.max_n < n:
             self._extend()
-        return self._rows[n].get(k, self._zero)
+        return self._rows[n][k]
 
     def _extend(self) -> None:
-        n = self.max_n
-        prev = self._rows[n]
-        b, zero = self._b, self._zero
-        a_term = self._a * n + self._r_term
-        nxt: dict[int, Polynomial | int] = {}
-        for k in range(n + 2):
-            cell = prev.get(k - 1, zero) + (a_term + b * k) * prev.get(k, zero)
-            if cell:
-                nxt[k] = cell
-        self._rows.append(nxt)
+        n, r, a, b, prev = self.max_n, self.r, self._a, self._b, self._last
+        if a is None:
+            up = n + r
+            self._last = [[x + up * y + (k + r) * z for x, y, z in zip(lo, [0, *hi], [*hi, 0])]
+                          for k, (lo, hi) in enumerate(zip([[0] * (n + 2), *prev], prev))]
+            self._last.append([1])
+            self._rows.append([Polynomial.homogeneous_ab(c) for c in self._last])
+        else:
+            self._last = [lo + (a * n + b * k + (a + b) * r) * hi
+                          for k, (lo, hi) in enumerate(zip([0, *prev], [*prev, 0]))]
+            self._rows.append(self._last)
 
 
 class TriangleStore:

@@ -34,6 +34,11 @@ def _factor_text(mono: Monomial) -> str:
                     for name, e in zip(VARIABLES, mono) if e)
 
 
+@lru_cache(maxsize=None)
+def _ab_monomials(degree: int) -> tuple[Monomial, ...]:
+    return tuple((i, degree - i, 0, 0) for i in range(degree + 1))
+
+
 class Polynomial:
     """Immutable sparse polynomial in a, b, x, t with integer coefficients."""
 
@@ -63,6 +68,13 @@ class Polynomial:
         idx = VARIABLES.index(name)
         mono = tuple(1 if i == idx else 0 for i in range(4))
         return cls({mono: 1})
+
+    @classmethod
+    def homogeneous_ab(cls, coeffs: list[int]) -> "Polynomial":
+        """``sum_i coeffs[i] * a^i * b^(d-i)``, d = len(coeffs) - 1, from trusted ints."""
+        result = cls.__new__(cls)
+        result._terms = {m: c for m, c in zip(_ab_monomials(len(coeffs) - 1), coeffs) if c}
+        return result
 
     # ------------------------------------------------------------------
     # inspection

@@ -96,6 +96,22 @@ def test_check_json_round_trip(capsys):
     assert json.dumps(json.loads(emitted), sort_keys=True) == emitted
 
 
+def test_empty_json_selection_prints_an_empty_list(capsys):
+    assert run(capsys, "check", "--id", "all", "--n", "9..8", "--format", "json") == (0, "[]\n")
+
+
+@pytest.mark.parametrize("weights", [(), (2, 3)])
+def test_streamed_json_table_is_one_dump_of_the_rows(capsys, weights):
+    argv = ["table", "--n", "6", "--r", "2", "--format", "json"]
+    if weights:
+        argv += ["--a", str(weights[0]), "--b", str(weights[1])]
+    store = lah_core.TriangleStore()
+    rows = [{"n": n, "k": k,
+             "value": store.g_int(n, k, 2, *weights) if weights else str(store.g(n, k, 2))}
+            for n in range(7) for k in range(n + 1)]
+    assert run(capsys, *argv) == (0, json.dumps(rows, sort_keys=True) + "\n")
+
+
 def test_check_formats_carry_identical_content(capsys):
     args = ("check", "--id", "shift", "--n", "0..3", "--k", "0..3", "--r", "1", "--s", "0..1")
     _, text_out = run(capsys, *args)

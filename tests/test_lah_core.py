@@ -144,6 +144,34 @@ def test_triangle_rejects_negative_r():
         LahTriangle(-1)
 
 
+@pytest.mark.parametrize("weights", [(1.5, 1), (1, 1.0), (A, 2), (A, B), (1, None), (None, 2)])
+def test_triangle_takes_no_weights_or_two_ints(weights):
+    with pytest.raises(ValueError):
+        LahTriangle(1, *weights)
+
+
+def test_triangle_takes_bool_weights_as_ints():
+    assert LahTriangle(1, True, False).poly(3, 1) == LahTriangle(1, 1, 0).poly(3, 1) == 11
+
+
+def _generic_rows(r, n_max):
+    """The recurrence run cell by cell over sparse Polynomial weights."""
+    rows = [{0: ONE}]
+    for n in range(n_max):
+        prev = rows[-1]
+        rows.append({k: prev.get(k - 1, ZERO) + (A * n + B * k + (A + B) * r) * prev.get(k, ZERO)
+                     for k in range(n + 2)})
+    return rows
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_vector_fill_equals_the_generic_polynomial_recurrence(r):
+    triangle = LahTriangle(r)
+    for n, row in enumerate(_generic_rows(r, 40)):
+        for k in range(n + 1):
+            assert triangle.poly(n, k) == row[k], (n, k)
+
+
 def test_binomial_against_math_comb():
     for n in range(15):
         for k in range(-2, n + 3):
