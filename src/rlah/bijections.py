@@ -26,10 +26,13 @@ and every verdict may still pass, so only the golden trace digests pin
 it.  Fixed-set membership is decided by a separate declarative
 predicate so the two implementations can disagree and expose bugs.
 
-Inner blocks are referenced by value inside outer groups (blocks are
-disjoint label sets, so values are unique); inner blocks not referenced
-by any group are exempt from the arrangement (the left-out blocks, and
-the distinguished cycles of IV).
+A configuration stores each inner block once: an arranged block as an
+item of its outer group, and a block that no group holds (a left-out
+distinguished block, or a distinguished cycle of IV) among the exempt
+blocks, ordered by minimum.  The canonical inner distribution is derived
+from them where one is needed.  No sign is stored either: a pair's sign
+is that of its layer, the identity's sign at the pair's number of inner
+non-distinguished blocks.
 
 Trace text renders a configuration as its outer groups joined by ``|``,
 min-first groups in angle brackets and the others in parentheses,
@@ -69,38 +72,46 @@ def _group_key(group) -> int:
 
 @dataclass(frozen=True)
 class OuterArrangement:
-    """An inner distribution plus an arrangement of (some of) its blocks."""
+    """A pair of a construction's family: an inner distribution of 1..n+r
+    and an arrangement of some of its blocks.  Each inner block is stored
+    once, either as an item of an outer group (with the specials -1, -2,
+    ...) or among ``exempt``, the blocks no group holds, by minimum."""
 
-    inner: LahDistribution
+    n: int
+    r: int
     specials: int
     outer_blocks: tuple
+    exempt: tuple
     outer_kind: str  # one of distributions.MODES
 
-    def referenced_blocks(self) -> tuple:
-        return tuple(it for g in self.outer_blocks for it in g if not isinstance(it, int))
+    def inner_blocks(self) -> list:
+        """The inner blocks in no canonical order: arranged, then exempt."""
+        arranged = [it for g in self.outer_blocks for it in g if not isinstance(it, int)]
+        return arranged + list(self.exempt)
 
-    def exempt_blocks(self) -> tuple:
-        referenced = set(self.referenced_blocks())
-        return tuple(b for b in self.inner.blocks if b not in referenced)
+    @property
+    def inner(self) -> LahDistribution:
+        """The inner distribution in canonical form, rebuilt on each read."""
+        return LahDistribution(self.n, self.r, tuple(sorted(self.inner_blocks(), key=min)))
 
     def validate(self) -> None:
         """Raise MalformedConfiguration unless the family this configuration
         implies holds it: its n, r, specials and outer kind, inner blocks in
-        any order, any k, and as many arranged distinguished blocks (those
-        led by 1..low) as it arranges.  Every outer item must be an int or
-        a tuple of ints."""
-        inner = self.inner
+        any order, any k, and ``low = r - len(exempt)`` arranged
+        distinguished blocks (those led by 1..low).  Every outer item must
+        be an int or a block, and every exempt item a block: a nonempty
+        tuple of ints."""
+        low = self.r - len(self.exempt)
         well_formed = self.specials >= 0 and self.outer_kind in MODES and all(
-            isinstance(it, int) or isinstance(it, tuple) and all(isinstance(e, int) for e in it)
-            for g in self.outer_blocks for it in g)
-        referenced = set(self.referenced_blocks()) if well_formed else set()
-        low = sum(b in referenced for b in inner.blocks[:inner.r])
-        family = _Family(inner.n, None, inner.r, self.specials + low, "all", self.outer_kind,
+            isinstance(b, tuple) and b and all(isinstance(e, int) for e in b)
+            for b in self.inner_blocks())
+        family = _Family(self.n, None, self.r, self.specials + low, "all", self.outer_kind,
                          None, None, self.specials, low)
         if not (well_formed and family.holds(self)):
             raise MalformedConfiguration(
-                f"outer groups {self.outer_blocks} are not a canonical {self.outer_kind} "
-                f"arrangement of {self.specials} specials and inner blocks {inner.blocks}")
+                f"outer groups {self.outer_blocks} and exempt blocks {self.exempt} are not "
+                f"a canonical {self.outer_kind} arrangement of {self.specials} specials "
+                f"and the blocks of a distribution of 1..{self.n + self.r}")
 
     def text(self) -> str:
         opener, closer = ("⟨", "⟩") if self.outer_kind == "min_first" else ("(", ")")
@@ -112,16 +123,9 @@ class OuterArrangement:
 
         body = "|".join(opener + ",".join(item_text(it) for it in g) + closer
                         for g in self.outer_blocks)
-        exempt = self.exempt_blocks()
-        if exempt:
-            body += "  ‖ " + "|".join(item_text(b) for b in exempt)
+        if self.exempt:
+            body += "  ‖ " + "|".join(item_text(b) for b in self.exempt)
         return body
-
-
-@dataclass(frozen=True)
-class SignedPair:
-    config: OuterArrangement
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -198,16 +202,25 @@ class _Family(NamedTuple):
 
     def holds(self, cfg: OuterArrangement) -> bool:
         """Whether a configuration belongs to the family (``iter_pairs``
-        yields it), reading its outer groups as the ranks of the family's
-        items (-1 for an item that is none of them)."""
-        inner = cfg.inner
-        if not (inner.n == self.n and inner.r == self.r and cfg.specials == self.specials
-                and cfg.outer_kind == self.outer_mode and inner.follows(self.inner_mode)):
+        yields it): its blocks, arranged and exempt, form a canonical
+        distribution in the inner mode, the exempt ones are exactly the
+        left-out blocks (led by low+1..r), and its outer groups, read as
+        the ranks of the family's items (-1 for an item that is none of
+        them), are an arrangement the family yields.  An item that cannot be
+        sorted or hashed as a block (an empty one, or one holding a str or
+        a list) makes it False, not an exception."""
+        try:
+            inner = cfg.inner
+            if not (cfg.n == self.n and cfg.r == self.r and cfg.specials == self.specials
+                    and cfg.outer_kind == self.outer_mode and inner.follows(self.inner_mode)
+                    and cfg.exempt == inner.blocks[self.low:self.r]):
+                return False
+            rank = {item: i for i, item in enumerate(self.items(inner))}
+            return is_arrangement(tuple([tuple([rank.get(it, -1) for it in g])
+                                         for g in cfg.outer_blocks]),
+                                  inner.k, self.s, self.k, self.outer_mode)
+        except (TypeError, ValueError):
             return False
-        rank = {item: i for i, item in enumerate(self.items(inner))}
-        return is_arrangement(tuple([tuple([rank.get(it, -1) for it in g])
-                                     for g in cfg.outer_blocks]),
-                              inner.k, self.s, self.k, self.outer_mode)
 
 
 def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -> bool:
@@ -229,21 +242,19 @@ def _family(construction_id: str, n: int, k: int, r: int, s: int) -> _Family:
                    sign, closed, s - low, low)
 
 
-def _layer_pairs(family: _Family, j: int, cap: int | None) -> Iterator[SignedPair]:
+def _layer_pairs(family: _Family, j: int, cap: int | None) -> Iterator[OuterArrangement]:
     """The pairs with ``j`` inner non-distinguished blocks, all of sign
     ``family.sign(n, j, k)``; the outer groupings are enumerated once for
     the layer, and the inner distributions of n+r labels are subject to
     the enumeration cap."""
-    specials, outer_mode = family.specials, family.outer_mode
-    sign = family.sign(family.n, j, family.k)
-    inners = enumerate_distributions(family.n, j, family.r, family.inner_mode, cap)
+    n, r, specials, outer_mode = family.n, family.r, family.specials, family.outer_mode
     outer = tuple(iter_arrangements(j, family.s, family.k, outer_mode))
-    for inner in inners:
+    for inner in enumerate_distributions(n, j, r, family.inner_mode, cap):
         items = family.items(inner)
+        exempt = inner.blocks[family.low:r]
         for groups in outer:
-            yield SignedPair(OuterArrangement(
-                inner, specials, tuple([tuple([items[idx] for idx in grp]) for grp in groups]),
-                outer_mode), sign)
+            arranged = tuple([tuple([items[idx] for idx in grp]) for grp in groups])
+            yield OuterArrangement(n, r, specials, arranged, exempt, outer_mode)
 
 
 def _layer_size(family: _Family, j: int, cap: int | None) -> int:
@@ -257,11 +268,12 @@ def _layer_size(family: _Family, j: int, cap: int | None) -> int:
 
 
 def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
-               cap: int | None = None, signs: tuple = (1, -1)) -> Iterator[SignedPair]:
-    """Enumerate the signed pair family of one construction layer by layer
-    (by the inner non-distinguished block count ``j``), building only the
-    layers whose sign is in ``signs``; the inner distributions of n+r
-    labels are subject to the enumeration cap."""
+               cap: int | None = None, signs: tuple = (1, -1)) -> Iterator[OuterArrangement]:
+    """Enumerate the pair family of one construction layer by layer (by the
+    inner non-distinguished block count ``j``, whose sign every pair of
+    the layer carries), building only the layers whose sign is in
+    ``signs``; the inner distributions of n+r labels are subject to the
+    enumeration cap."""
     family = _family(construction_id, n, k, r, s)
     for j in range(k, n + 1):
         if family.sign(n, j, k) in signs:
@@ -321,21 +333,15 @@ def _sorted_step(segment):
     return None
 
 
+def _regrouped(cfg: OuterArrangement, groups, exempt=None) -> OuterArrangement:
+    """``cfg`` with the outer groups ``groups`` and, if given, the exempt
+    blocks ``exempt``."""
+    return OuterArrangement(cfg.n, cfg.r, cfg.specials, tuple(groups),
+                            cfg.exempt if exempt is None else exempt, cfg.outer_kind)
+
+
 def _with_group(cfg: OuterArrangement, index: int, new_group) -> OuterArrangement:
-    groups = list(cfg.outer_blocks)
-    old, groups[index] = groups[index], new_group
-    return _edited(cfg, groups, old, new_group)
-
-
-def _edited(cfg: OuterArrangement, groups, gone, added) -> OuterArrangement:
-    """``cfg`` with the outer groups ``groups``, the inner blocks among
-    ``gone`` taken out and those among ``added`` put in; every other
-    inner block, exempt or arranged, stays."""
-    blocks = [b for b in cfg.inner.blocks if b not in gone]
-    blocks += [it for it in added if not isinstance(it, int)]
-    blocks.sort(key=min)
-    inner = LahDistribution(cfg.inner.n, cfg.inner.r, tuple(blocks))
-    return OuterArrangement(inner, cfg.specials, tuple(groups), cfg.outer_kind)
+    return _regrouped(cfg, cfg.outer_blocks[:index] + (new_group,) + cfg.outer_blocks[index + 1:])
 
 
 def _locate(cfg: OuterArrangement, label: int):
@@ -384,10 +390,10 @@ def _step(cfg: OuterArrangement, group_step, section_step,
     return None
 
 
-def _flipped(pair: SignedPair, moved: OuterArrangement | None) -> SignedPair:
+def _moved(moved: OuterArrangement | None) -> OuterArrangement:
     if moved is None:
         raise FixedPointError("no move applies")
-    return SignedPair(moved, -pair.sign)
+    return moved
 
 
 def _trade_ii(cfg: OuterArrangement, i: int, gi: int) -> OuterArrangement | None:
@@ -403,21 +409,21 @@ def _trade_ii(cfg: OuterArrangement, i: int, gi: int) -> OuterArrangement | None
     else:
         return None
     groups = list(cfg.outer_blocks)
-    gone = groups[gi] + groups[tgi]
     groups[gi] = (-i,) + rest
     groups[tgi] = groups[tgi][:tpos] + (block,) + groups[tgi][tpos + 1:]
-    return _edited(cfg, groups, gone, groups[gi] + groups[tgi])
+    return _regrouped(cfg, groups)
 
 
 def _trade_iii(cfg: OuterArrangement) -> OuterArrangement | None:
     """Trade the largest ordinary label between the group holding label i
-    and the exempt block holding r+1-i, for the first i where one exists."""
-    exempt = cfg.exempt_blocks()
-    r = cfg.inner.r
+    and the exempt block holding r+1-i (the i-th from the end), for the
+    first i where one exists."""
+    exempt, r = cfg.exempt, cfg.r
     for i0 in range(1, len(exempt) + 1):
         tgi, _, _ = _locate(cfg, i0)
         group = cfg.outer_blocks[tgi]
-        partner = next(b for b in exempt if r + 1 - i0 in b)
+        at = len(exempt) - i0
+        partner = exempt[at]
         tau_ordinary = [it[0] for it in group if it[0] > r]
         partner_ordinary = [e for e in partner if e > r]
         if not tau_ordinary and not partner_ordinary:
@@ -425,32 +431,31 @@ def _trade_iii(cfg: OuterArrangement) -> OuterArrangement | None:
         top = max(tau_ordinary + partner_ordinary)
         groups = list(cfg.outer_blocks)
         if top in partner:
-            new_partner = partner[:-1]
+            partner = partner[:-1]
             groups[tgi] = tuple(sorted(group + ((top,),), key=_rank))
         else:
             groups[tgi] = tuple(it for it in group if it != (top,))
-            new_partner = partner + (top,)
-        return _edited(cfg, groups, group + (partner,), groups[tgi] + (new_partner,))
+            partner += (top,)
+        return _regrouped(cfg, groups, exempt[:at] + (partner,) + exempt[at + 1:])
     return None
 
 
-def invol_i(pair: SignedPair) -> SignedPair:
+def invol_i(cfg: OuterArrangement) -> OuterArrangement:
     """Merge/split on the first group or section holding two or more labels."""
-    return _flipped(pair, _step(pair.config, _seg_step, _seg_step))
+    return _moved(_step(cfg, _seg_step, _seg_step))
 
 
-def invol_ii(pair: SignedPair) -> SignedPair:
+def invol_ii(cfg: OuterArrangement) -> OuterArrangement:
     """Cycle-type involution: fix the first bad non-special cycle; then, per
     special, merge/split inside its cycle or trade with the block holding
     the matching positive label."""
-    return _flipped(pair, _step(pair.config, _cycle_step, _seg_step, _trade_ii))
+    return _moved(_step(cfg, _cycle_step, _seg_step, _trade_ii))
 
 
-def invol_iii(pair: SignedPair) -> SignedPair:
+def invol_iii(cfg: OuterArrangement) -> OuterArrangement:
     """Sorted-singleton involution on groups and sections, extended by the
     largest-label trade with the exempt blocks for the truncated variant."""
-    cfg = pair.config
-    return _flipped(pair, _step(cfg, _sorted_step, _sorted_step) or _trade_iii(cfg))
+    return _moved(_step(cfg, _sorted_step, _sorted_step) or _trade_iii(cfg))
 
 
 _INVOLUTIONS = {"I": invol_i, "II": invol_ii, "III": invol_iii}
@@ -463,7 +468,7 @@ _INVOLUTIONS = {"I": invol_i, "II": invol_ii, "III": invol_iii}
 def _is_fixed_i(cfg: OuterArrangement) -> bool:
     if cfg.specials == 0:
         return all(_elements(g) == 1 for g in cfg.outer_blocks)
-    if any(len(b) != 1 for b in cfg.inner.blocks):
+    if any(len(b) != 1 for b in cfg.inner_blocks()):
         return False
     for group in cfg.outer_blocks:
         pos = next((i for i, it in enumerate(group) if isinstance(it, int)), None)
@@ -501,8 +506,7 @@ def _is_fixed_iii(cfg: OuterArrangement) -> bool:
             if previous is not None and previous > it[0]:
                 return False
             previous = it[0]
-    exempt = cfg.exempt_blocks()
-    r = cfg.inner.r
+    exempt, r = cfg.exempt, cfg.r
     for i0 in range(1, len(exempt) + 1):
         tgi, _, block = _locate(cfg, i0)
         if len(block) != 1 or len(cfg.outer_blocks[tgi]) != 1:
@@ -536,7 +540,7 @@ def _cycle_survivor(family: _Family, cfg: OuterArrangement) -> tuple:
         return e - drop + (extra if e > r else 0)
 
     blocks = []
-    for block in cfg.inner.blocks:
+    for block in cfg.inner_blocks():
         lead = min(block)
         if lead <= drop:
             continue
@@ -606,19 +610,18 @@ def _concat_desc(cycles) -> tuple[int, ...]:
 
 def map_iv(cfg: OuterArrangement) -> LahDistribution:
     """Flatten an (inner cycles, outer arrangement) pair into a single
-    distribution at the averaged distinguished level (r+s)/2.  Only the
+    distribution at the averaged distinguished level (r+s)/2.  The
+    distinguished cycles are the exempt blocks, led by 1..r.  Only the
     parity and the outer kind are checked: the input is a pair of the IV
     family (``iter_pairs`` yields it, or ``OuterArrangement.validate``
     accepts it), and the verifier's codomain test checks the output."""
-    r = cfg.inner.r
-    s = cfg.specials
+    r, s = cfg.r, cfg.specials
     if (r - s) % 2:
         raise InvalidParameters("r and s must have the same parity")
     if cfg.outer_kind != "increasing":
         raise MalformedConfiguration("construction IV expects an increasing outer family")
-    n = cfg.inner.n
     mid = (r + s) // 2
-    lead = {b[0]: b for b in cfg.inner.blocks if b[0] <= r}
+    lead = {b[0]: b for b in cfg.exempt}
     out = []
     if r >= s:
         half = (r - s) // 2
@@ -652,16 +655,16 @@ def map_iv(cfg: OuterArrangement) -> LahDistribution:
             return e + half if e > r else e
 
         relabeled = tuple(tuple(relabel(e) for e in blk) for blk in out)
-    blocks = tuple(sorted(relabeled, key=min))
-    return LahDistribution(n, mid, blocks)
+    return LahDistribution(cfg.n, mid, tuple(sorted(relabeled, key=min)))
 
 
 def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
-    """Rebuild the unique pre-image of a distribution under map_iv.  Only
-    the parity and the level are checked: the input is a canonical
-    distribution (the verifier has tested it against the codomain, or
-    ``LahDistribution.validate`` accepts it), and the verifier compares
-    the output with the enumerated pair."""
+    """Rebuild the unique pre-image of a distribution under map_iv: its
+    outer groups, and the distinguished cycles led by 1..r as its exempt
+    blocks.  Only the parity and the level are checked: the input is a
+    canonical distribution (the verifier has tested it against the
+    codomain, or ``LahDistribution.validate`` accepts it), and the
+    verifier compares the output with the enumerated pair."""
     if (r - s) % 2:
         raise InvalidParameters("r and s must have the same parity")
     mid = (r + s) // 2
@@ -706,27 +709,21 @@ def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
                 special_cycles[low + half] = _parse_min_led_cycles(blk[:cut])
             else:
                 plain_groups.append(_parse_min_led_cycles(blk))
-    inner_blocks = list(lead.values())
-    for cycles in special_cycles.values():
-        inner_blocks.extend(cycles)
-    for cycles in plain_groups:
-        inner_blocks.extend(cycles)
-    inner_blocks.sort(key=min)
-    inner = LahDistribution(dist.n, r, tuple(inner_blocks))
     groups = [(-i,) + tuple(sorted(special_cycles[i], key=min)) for i in range(1, s + 1)]
     groups.extend(tuple(sorted(grp, key=min)) for grp in plain_groups)
     groups.sort(key=_group_key)
-    return OuterArrangement(inner, s, tuple(groups), "increasing")
+    return OuterArrangement(dist.n, r, s, tuple(groups),
+                            tuple(lead[i] for i in range(1, r + 1)), "increasing")
 
 
 # ----------------------------------------------------------------------
 # verification
 
 
-def _image(invol, pair: SignedPair) -> SignedPair | None:
+def _image(invol, cfg: OuterArrangement) -> OuterArrangement | None:
     """The map's image of a pair, or None where it raises FixedPointError."""
     try:
-        return invol(pair)
+        return invol(cfg)
     except FixedPointError:
         return None
 
@@ -740,15 +737,16 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     ``FixedPointError`` on every fixed pair; for II and III, the survivors
     relabel one-to-one onto the distributions the closed side counts.
 
-    All pairs of one layer (one inner block count ``j``) share the sign
-    ``family.sign(n, j, k)``.  The layers of sign +1 are built: the fixed
-    predicate runs on each of their pairs, and the map is applied to each
-    non-fixed one.  Its image must lie in the pair family, have sign -1
-    (the family's sign at the image), fail the fixed predicate and map
-    back to the pair; a ``FixedPointError`` from either application
-    counts as not involutive.  The layers of sign -1 are counted, not
-    built (``_layer_size``, under the same cap).  That checks every
-    2-orbit once and is still complete: a PASS needs
+    A pair carries no sign of its own: all pairs of one layer (one inner
+    block count ``j``) have the sign ``family.sign(n, j, k)``.  The layers
+    of sign +1 are built: the fixed predicate runs on each of their pairs,
+    and the map is applied to each non-fixed one.  Its image must lie in
+    a layer of sign -1 (the family's sign at the image's block count, read
+    without sorting its blocks), lie in the pair family, fail the fixed
+    predicate and map back to the pair; a ``FixedPointError`` from either
+    application counts as not involutive.  The layers of sign -1 are
+    counted, not built (``_layer_size``, under the same cap).  That checks
+    every 2-orbit once and is still complete: a PASS needs
     ``signed == fixed == target``, where ``fixed`` counts positive pairs
     only, so there are exactly as many negative pairs as positive
     non-fixed ones.  The images of those positive pairs are distinct
@@ -769,12 +767,12 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         mid = (r + s) // 2
         total = 0
         round_trips = True
-        for pair in iter_pairs(construction_id, n, k, r, s, cap):
+        for cfg in iter_pairs(construction_id, n, k, r, s, cap):
             total += 1
-            image = map_iv(pair.config)
+            image = map_iv(cfg)
             # inv_iv is not defined off the codomain
             if not (image.n == n and image.r == mid and image.k == k and image.follows("all")
-                    and inv_iv(image, r, s) == pair.config):
+                    and inv_iv(image, r, s) == cfg):
                 round_trips = False
         bijective = round_trips and total == target
         return InvolutionReport(construction_id, params, total, total, total, target,
@@ -786,35 +784,32 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     mode, level_of, relabel = _SURVIVORS.get(_CONSTRUCTIONS[construction_id][0],
                                              (None, None, None))
     survivors = set()
-    total = fixed = signed = 0
+    negative = sum(_layer_size(family, j, cap) for j in range(k, n + 1)
+                   if family.sign(n, j, k) < 0)  # counted before any pair is built
+    positive = fixed = 0
     involutive = True
     sign_reversing = True
-    for j in range(k, n + 1):  # the negative layers are counted
-        if family.sign(n, j, k) < 0:
-            size = _layer_size(family, j, cap)
-            total += size
-            signed -= size
-    for pair in iter_pairs(construction_id, n, k, r, s, cap, (1,)):
-        total += 1
-        signed += pair.sign
-        if predicate(pair.config):
+    for cfg in iter_pairs(construction_id, n, k, r, s, cap, (1,)):
+        positive += 1
+        if predicate(cfg):
             fixed += 1
             if relabel is not None:
-                survivors.add(relabel(family, pair.config))
-            if _image(invol, pair) is not None:
+                survivors.add(relabel(family, cfg))
+            if _image(invol, cfg) is not None:
                 involutive = False
             continue
-        image = _image(invol, pair)
+        image = _image(invol, cfg)
         if image is None:
             involutive = False
             continue
-        if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
+        if family.sign(n, len(image.inner_blocks()) - r, k) > 0:
             sign_reversing = False
-        if not family.holds(image.config):
+        if not family.holds(image):
             involutive = False  # neither the predicate nor the map is defined off the family
             continue
-        if predicate(image.config) or _image(invol, image) != pair:
+        if predicate(image) or _image(invol, image) != cfg:
             involutive = False
+    total, signed = positive + negative, positive - negative
     passed = involutive and sign_reversing and signed == target and fixed == target
     if passed and relabel is not None:
         # the closed side counts these distributions, and the signed sum of
@@ -836,11 +831,11 @@ def trace_construction(construction_id: str, n: int, k: int, r: int, s: int,
     render with ``text()``.  Nothing is checked here and nothing is kept:
     the verdict comes from ``verify_construction`` alone."""
     if construction_id == "IV":
-        for pair in iter_pairs(construction_id, n, k, r, s, cap):
-            yield pair.config, map_iv(pair.config)
+        for cfg in iter_pairs(construction_id, n, k, r, s, cap):
+            yield cfg, map_iv(cfg)
         return
     invol = _INVOLUTIONS[construction_id.split("_")[0]]
-    for pair in iter_pairs(construction_id, n, k, r, s, cap):
-        image = _image(invol, pair)
+    for cfg in iter_pairs(construction_id, n, k, r, s, cap):
+        image = _image(invol, cfg)
         if image is not None:
-            yield pair.config, image.config
+            yield cfg, image

@@ -312,10 +312,12 @@ def cmd_sequences(args) -> Output:
         return _refuse("sequences", EXIT_USAGE, "--n must be between 0 and 12")
     if args.r < 0:
         return _refuse("sequences", EXIT_USAGE, "--r must be nonnegative")
-    r = args.r if args.which == "r_bell" else 0
+    if args.r and args.which != "r_bell":
+        return _refuse("sequences", EXIT_USAGE, f"--r is only read by r_bell, not {args.which}")
     a_val = 1 if args.which == "a000262" else 0
-    values = [sum(g_eval(n, k, r, a_val, 1) for k in range(n + 1)) for n in range(args.n + 1)]
-    status = "PASS" if values == _reference(args.which, args.n, r) else "FAIL"
+    values = [sum(g_eval(n, k, args.r, a_val, 1) for k in range(n + 1))
+              for n in range(args.n + 1)]
+    status = "PASS" if values == _reference(args.which, args.n, args.r) else "FAIL"
     return Output(EXIT_OK if status == "PASS" else EXIT_FAIL, ("n", "value"),
                   ({"n": n, "value": value} for n, value in enumerate(values)),
                   chain((f"{n} {value}" for n, value in enumerate(values)), [status]),

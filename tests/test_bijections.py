@@ -1,5 +1,6 @@
 """Exhaustive small-scale checks of the involutions and the bijection."""
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -20,23 +21,31 @@ def applying(cid):
     return [(n, k, r, s) for n, k, r, s in SMALL if bj.construction_applies(cid, n, k, r, s)]
 
 
+def layer_sign(cid, params):
+    """The sign of a pair of the family: that of its layer."""
+    n, k = params[:2]
+    family = bj._family(cid, *params)
+    return lambda cfg: family.sign(n, cfg.inner.k, k)
+
+
 # ----------------------------------------------------------------------
 # streams and signs
 
 
 def test_pairs_i_instances():
     pairs = list(bj.iter_pairs("I_POS", 1, 1, 0, 0))
-    assert len(pairs) == 1 and pairs[0].sign == 1
-    assert sum(p.sign for p in bj.iter_pairs("I_POS", 2, 1, 1, 0)) == 4
-    assert sum(p.sign for p in bj.iter_pairs("I_POS", 2, 1, 1, 1)) == 0
+    assert len(pairs) == 1 and layer_sign("I_POS", (1, 1, 0, 0))(pairs[0]) == 1
+    for params, signed in (((2, 1, 1, 0), 4), ((2, 1, 1, 1), 0)):
+        sign = layer_sign("I_POS", params)
+        assert sum(map(sign, bj.iter_pairs("I_POS", *params))) == signed
 
 
 def test_pair_counts_match_the_product_of_counts():
     # |pairs with j inner non-distinguished blocks| factorizes
     n, k, r, s = 3, 1, 1, 1
     by_j = {}
-    for pair in bj.iter_pairs("II_EQ", n, k, r, s):
-        j = len(pair.config.inner.blocks) - r
+    for cfg in bj.iter_pairs("II_EQ", n, k, r, s):
+        j = len(cfg.inner.blocks) - r
         by_j[j] = by_j.get(j, 0) + 1
     for j, count in by_j.items():
         assert count == g_eval(n, j, r, 1, 1) * g_eval(j, k, s, 1, 0)
@@ -44,7 +53,7 @@ def test_pair_counts_match_the_product_of_counts():
 
 def test_fixed_i_counts():
     def fixed(*params):
-        return sum(1 for p in bj.iter_pairs("I_POS", *params) if bj._is_fixed_i(p.config))
+        return sum(1 for cfg in bj.iter_pairs("I_POS", *params) if bj._is_fixed_i(cfg))
 
     assert fixed(2, 2, 1, 0) == 1          # n = k
     assert fixed(2, 1, 1, 0) == 4
@@ -52,12 +61,14 @@ def test_fixed_i_counts():
 
 
 def test_sign_exponent_conventions():
-    for pair in bj.iter_pairs("I_POS", 3, 1, 2, 0):
-        j = len(pair.config.inner.blocks) - 2
-        assert pair.sign == (-1) ** (j - 1)
-    for pair in bj.iter_pairs("III_EQ", 3, 1, 1, 1):
-        j = len(pair.config.inner.blocks) - 1
-        assert pair.sign == (-1) ** (3 - j)
+    sign = layer_sign("I_POS", (3, 1, 2, 0))
+    for cfg in bj.iter_pairs("I_POS", 3, 1, 2, 0):
+        j = len(cfg.inner.blocks) - 2
+        assert sign(cfg) == (-1) ** (j - 1)
+    sign = layer_sign("III_EQ", (3, 1, 1, 1))
+    for cfg in bj.iter_pairs("III_EQ", 3, 1, 1, 1):
+        j = len(cfg.inner.blocks) - 1
+        assert sign(cfg) == (-1) ** (3 - j)
 
 
 # ----------------------------------------------------------------------
@@ -71,16 +82,16 @@ def test_invol_round_trip_and_sign(kind):
     cases = [(cid, params) for cid in bj.CONSTRUCTION_IDS if cid.split("_")[0] == kind
              for params in applying(cid)]
     for cid, params in cases:
-        for pair in bj.iter_pairs(cid, *params):
-            if predicate(pair.config):
+        sign = layer_sign(cid, params)
+        for cfg in bj.iter_pairs(cid, *params):
+            if predicate(cfg):
                 with pytest.raises(bj.FixedPointError):
-                    invol(pair)
+                    invol(cfg)
                 continue
-            image = invol(pair)
-            image.config.validate()
-            assert image.sign == -pair.sign
-            back = invol(image)
-            assert back.config == pair.config and back.sign == pair.sign
+            image = invol(cfg)
+            image.validate()
+            assert sign(image) == -sign(cfg)
+            assert invol(image) == cfg
 
 
 def test_moves_return_none_exactly_where_they_cannot_move():
@@ -96,11 +107,11 @@ def test_moves_return_none_exactly_where_they_cannot_move():
 
 
 def test_invol_changes_inner_block_count_by_one():
-    for pair in bj.iter_pairs("II_EQ", 3, 1, 1, 1):
-        if bj._is_fixed_ii(pair.config):
+    for cfg in bj.iter_pairs("II_EQ", 3, 1, 1, 1):
+        if bj._is_fixed_ii(cfg):
             continue
-        image = bj.invol_ii(pair)
-        assert abs(len(image.config.inner.blocks) - len(pair.config.inner.blocks)) == 1
+        image = bj.invol_ii(cfg)
+        assert abs(len(image.inner.blocks) - len(cfg.inner.blocks)) == 1
 
 
 def test_verify_construction_examples():
@@ -112,20 +123,19 @@ def test_verify_construction_examples():
     assert report.passed and report.total_pairs == report.fixed_points == 1
 
 
-def test_broken_involutions_fail(monkeypatch):
-    # negative controls: the verifier must reject an involution that keeps
-    # the sign, one that leaves the pair as it is with or without negating
-    # its sign, and a fixed-set predicate that accepts one pair too many
+def test_broken_involutions_fail(monkeypatch, capsys):
+    # negative controls: the verifier must reject an involution that leaves
+    # the pair as it is (its image's layer has the pair's sign), and a
+    # fixed-set predicate that accepts one pair too many
     assert bj.verify_construction("I_POS", 2, 1, 1, 0).passed
-    for broken in (lambda pair: bj.SignedPair(bj.invol_i(pair).config, pair.sign),
-                   lambda pair: bj.invol_i(pair) and pair,
-                   lambda pair: bj.invol_i(pair) and bj.SignedPair(pair.config, -pair.sign)):
-        monkeypatch.setitem(bj._INVOLUTIONS, "I", broken)
-        report = bj.verify_construction("I_POS", 2, 1, 1, 0)
-        assert not report.sign_reversing and not report.passed
+    monkeypatch.setitem(bj._INVOLUTIONS, "I", lambda cfg: bj.invol_i(cfg) and cfg)
+    report = bj.verify_construction("I_POS", 2, 1, 1, 0)
+    assert not report.sign_reversing and not report.passed
+    assert cli.main(["constructions", "--id", "i_pos", "--n", "2", "--k", "1",
+                     "--r", "1", "--s", "0"]) == 1
+    assert capsys.readouterr().out.endswith("inv=y sign=n FAIL\n")
     monkeypatch.undo()
-    extra = next(p.config for p in bj.iter_pairs("I_POS", 2, 1, 1, 0)
-                 if not bj._is_fixed_i(p.config))
+    extra = next(cfg for cfg in bj.iter_pairs("I_POS", 2, 1, 1, 0) if not bj._is_fixed_i(cfg))
     monkeypatch.setitem(bj._FIXED, "I", lambda cfg: cfg == extra or bj._is_fixed_i(cfg))
     report = bj.verify_construction("I_POS", 2, 1, 1, 0)
     assert not report.passed and report.fixed_points == report.closed_form + 1
@@ -134,26 +144,26 @@ def test_broken_involutions_fail(monkeypatch):
 def _leaving_family(invol, mark, unmark, marked):
     """A sign-reversing involution whose images ``mark`` may move out of the
     pair family; ``unmark`` brings a marked image back before inverting."""
-    def broken(pair):
-        if marked(pair.config):
-            return invol(bj.SignedPair(unmark(pair.config), pair.sign))
-        image = invol(pair)
-        return bj.SignedPair(mark(pair.config, image.config), image.sign)
+    def broken(cfg):
+        if marked(cfg):
+            return invol(unmark(cfg))
+        return mark(cfg, invol(cfg))
     return broken
 
 
 def _fails_only_membership(monkeypatch, cid, params, broken):
     kind = cid.split("_")[0]
     predicate = bj._FIXED[kind]
+    sign = layer_sign(cid, params)
     left = 0
-    for pair in bj.iter_pairs(cid, *params):
-        if predicate(pair.config):
+    for cfg in bj.iter_pairs(cid, *params):
+        if predicate(cfg):
             continue
-        image = broken(pair)
-        image.config.validate()
-        assert image.sign == -pair.sign and not predicate(image.config)
-        assert broken(image) == pair
-        left += image.config != bj._INVOLUTIONS[kind](pair).config
+        image = broken(cfg)
+        image.validate()
+        assert sign(image) == -sign(cfg) and not predicate(image)
+        assert broken(image) == cfg
+        left += image != bj._INVOLUTIONS[kind](cfg)
     assert left  # some images really leave the family
     assert bj.verify_construction(cid, *params).passed
     monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
@@ -174,13 +184,11 @@ def test_image_with_an_extra_outer_group_fails(monkeypatch):
         if not (splittable(before) and splittable(after)):
             return after
         *groups, last = after.outer_blocks
-        return bj.OuterArrangement(after.inner, after.specials,
-                                   (*groups, last[:-1], last[-1:]), after.outer_kind)
+        return replace(after, outer_blocks=(*groups, last[:-1], last[-1:]))
 
     def unmark(cfg):
         *groups, last, extra = cfg.outer_blocks
-        return bj.OuterArrangement(cfg.inner, cfg.specials, (*groups, last + extra),
-                                   cfg.outer_kind)
+        return replace(cfg, outer_blocks=(*groups, last + extra))
 
     broken = _leaving_family(bj.invol_i, mark, unmark,
                              lambda cfg: len(cfg.outer_blocks) == 2)  # k + s + 1
@@ -191,15 +199,13 @@ def test_image_arranging_a_left_out_block_fails(monkeypatch):
     # negative control: the left-out block led by label 1 joins the first group
     def mark(before, after):
         first, *groups = after.outer_blocks
-        return bj.OuterArrangement(after.inner, after.specials,
-                                   (first + after.exempt_blocks(), *groups), after.outer_kind)
+        return replace(after, outer_blocks=(first + after.exempt, *groups), exempt=())
 
     def unmark(cfg):
         first, *groups = cfg.outer_blocks
-        return bj.OuterArrangement(cfg.inner, cfg.specials, (first[:-1], *groups),
-                                   cfg.outer_kind)
+        return replace(cfg, outer_blocks=(first[:-1], *groups), exempt=first[-1:])
 
-    broken = _leaving_family(bj.invol_i, mark, unmark, lambda cfg: not cfg.exempt_blocks())
+    broken = _leaving_family(bj.invol_i, mark, unmark, lambda cfg: not cfg.exempt)
     _fails_only_membership(monkeypatch, "I_POS", (3, 1, 1, 0), broken)
 
 
@@ -209,10 +215,8 @@ def test_image_with_a_block_out_of_order_fails(monkeypatch):
     def reverse_block(cfg, block):
         def swap(item):
             return item[::-1] if item == block else item
-        inner = bj.LahDistribution(cfg.inner.n, cfg.inner.r,
-                                   tuple(swap(b) for b in cfg.inner.blocks))
         groups = tuple(tuple(swap(it) for it in g) for g in cfg.outer_blocks)
-        return bj.OuterArrangement(inner, cfg.specials, groups, cfg.outer_kind)
+        return replace(cfg, outer_blocks=groups, exempt=tuple(map(swap, cfg.exempt)))
 
     def long_block(cfg):
         return next((b for b in cfg.inner.blocks if len(b) > 1), None)
@@ -236,13 +240,13 @@ def test_image_reusing_a_label_fails(monkeypatch):
     # negative control: each image's last inner block also gets label 1, so
     # the image is no distribution at all; the verifier reports FAIL and
     # applies neither the map nor the fixed predicate (both refuse it) to it
-    def broken(pair):
-        pair.config.validate()
-        image = bj.invol_i(pair)
-        inner = image.config.inner
-        blocks = inner.blocks[:-1] + (inner.blocks[-1] + (1,),)
-        return bj.SignedPair(replace(image.config, inner=replace(inner, blocks=blocks)),
-                             image.sign)
+    def broken(cfg):
+        cfg.validate()
+        image = bj.invol_i(cfg)
+        last = image.inner.blocks[-1]
+        return replace(image, outer_blocks=tuple(tuple(it + (1,) if it == last else it
+                                                       for it in g)
+                                                 for g in image.outer_blocks))
 
     assert bj.verify_construction("I_POS", 3, 1, 1, 0).passed
     monkeypatch.setitem(bj._INVOLUTIONS, "I", broken)
@@ -252,6 +256,23 @@ def test_image_reusing_a_label_fails(monkeypatch):
     assert "inv=n" in report.line() and report.line().endswith("FAIL")
 
 
+@pytest.mark.parametrize("junk", [(), ("x",), ([9],)])
+def test_image_with_an_unreadable_item_fails(monkeypatch, capsys, junk):
+    # negative control: the last item of each image is an empty block or a
+    # block holding a str or a list; no inner distribution can be derived,
+    # so the membership test refuses the image: FAIL, not a traceback
+    def broken(cfg):
+        image = bj.invol_i(cfg)
+        *groups, last = image.outer_blocks
+        return replace(image, outer_blocks=(*groups, last[:-1] + (junk,)))
+
+    monkeypatch.setitem(bj._INVOLUTIONS, "I", broken)
+    assert bj.verify_construction("I_POS", 3, 1, 1, 0).line().endswith("inv=n sign=y FAIL")
+    assert cli.main(["constructions", "--id", "i_pos", "--n", "3", "--k", "1",
+                     "--r", "1", "--s", "0"]) == 1
+    assert capsys.readouterr().out.endswith("inv=n sign=y FAIL\n")
+
+
 # ----------------------------------------------------------------------
 # the sign-directed check: the map is applied to the positive pairs only
 
@@ -259,64 +280,64 @@ INVOLUTION_CASES = [(cid, params) for cid in bj.CONSTRUCTION_IDS if cid != "IV"
                     for params in applying(cid)]
 
 
-def _wrong_on_negatives(monkeypatch, kind, pairs):
+def _wrong_on_negatives(monkeypatch, kind, pairs, sign):
     """Right on pairs of sign +1; sends each pair of sign -1 to a family
     member of sign +1 other than its true image."""
     invol = bj._INVOLUTIONS[kind]
-    positives = [p for p in pairs if p.sign > 0]
+    positives = [cfg for cfg in pairs if sign(cfg) > 0]
 
-    def broken(pair):
-        image = invol(pair)
-        if pair.sign > 0:
+    def broken(cfg):
+        image = invol(cfg)
+        if sign(cfg) > 0:
             return image
         return positives[(positives.index(image) + 1) % len(positives)]
     monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
 
 
-def _raising_on_negatives(monkeypatch, kind, pairs):
+def _raising_on_negatives(monkeypatch, kind, pairs, sign):
     """Right on pairs of sign +1; raises FixedPointError on pairs of sign -1."""
     invol = bj._INVOLUTIONS[kind]
 
-    def broken(pair):
-        if pair.sign < 0:
+    def broken(cfg):
+        if sign(cfg) < 0:
             raise bj.FixedPointError("control")
-        return invol(pair)
+        return invol(cfg)
     monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
 
 
-def _missing_a_fixed_point(monkeypatch, kind, pairs):
+def _missing_a_fixed_point(monkeypatch, kind, pairs, sign):
     """A fixed predicate that rejects one genuine fixed point, on which the
     map raises FixedPointError."""
     predicate = bj._FIXED[kind]
-    dropped = next(p.config for p in pairs if predicate(p.config))
+    dropped = next(cfg for cfg in pairs if predicate(cfg))
     monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg != dropped and predicate(cfg))
 
 
-def _orbit_taken_as_fixed(monkeypatch, kind, pairs):
+def _orbit_taken_as_fixed(monkeypatch, kind, pairs, sign):
     """A fixed predicate that also accepts one positive non-fixed pair, and a
     map that raises FixedPointError on that pair and on its image: the map
     agrees with the predicate, but the fixed count is one too large.  No
     positive pair maps to that image, so only a trace line applies the map
     to it."""
     invol, predicate = bj._INVOLUTIONS[kind], bj._FIXED[kind]
-    extra = next(p for p in pairs if p.sign > 0 and not predicate(p.config))
+    extra = next(cfg for cfg in pairs if sign(cfg) > 0 and not predicate(cfg))
     orbit = {extra, invol(extra)}
 
-    def broken(pair):
-        if pair in orbit:
+    def broken(cfg):
+        if cfg in orbit:
             raise bj.FixedPointError("control")
-        return invol(pair)
-    monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg == extra.config or predicate(cfg))
+        return invol(cfg)
+    monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg == extra or predicate(cfg))
     monkeypatch.setitem(bj._INVOLUTIONS, kind, broken)
 
 
-def _negative_taken_as_fixed(monkeypatch, kind, pairs):
+def _negative_taken_as_fixed(monkeypatch, kind, pairs, sign):
     """A fixed predicate that also accepts one non-fixed pair of sign -1;
     the map is right.  The predicate is run on positive pairs only, so
     this shows only when the positive pair mapping to that pair finds its
     image fixed."""
     predicate = bj._FIXED[kind]
-    extra = next(p.config for p in pairs if p.sign < 0 and not predicate(p.config))
+    extra = next(cfg for cfg in pairs if sign(cfg) < 0 and not predicate(cfg))
     monkeypatch.setitem(bj._FIXED, kind, lambda cfg: cfg == extra or predicate(cfg))
 
 
@@ -334,24 +355,25 @@ SIGN_CONTROLS = {
 
 def _install(monkeypatch, control):
     cid, params, install, _ = SIGN_CONTROLS[control]
-    install(monkeypatch, cid.split("_")[0], list(bj.iter_pairs(cid, *params)))
+    install(monkeypatch, cid.split("_")[0], list(bj.iter_pairs(cid, *params)),
+            layer_sign(cid, params))
     return cid, params
 
 
 def test_wrong_on_negatives_is_wrong_only_there(monkeypatch):
     cid, params = _install(monkeypatch, "wrong-on-negatives")
-    broken = bj._INVOLUTIONS["I"]
+    broken, sign = bj._INVOLUTIONS["I"], layer_sign(cid, params)
     family = set(bj.iter_pairs(cid, *params))
     negatives = 0
-    for pair in family:
-        if bj._is_fixed_i(pair.config):
+    for cfg in family:
+        if bj._is_fixed_i(cfg):
             continue
-        image = broken(pair)
-        if pair.sign > 0:
-            assert image == bj.invol_i(pair)
+        image = broken(cfg)
+        if sign(cfg) > 0:
+            assert image == bj.invol_i(cfg)
             continue
         negatives += 1
-        assert image != bj.invol_i(pair) and image.sign == 1 and image in family
+        assert image != bj.invol_i(cfg) and sign(image) == 1 and image in family
     assert negatives
 
 
@@ -377,6 +399,7 @@ def _two_visit_report(cid, n, k, r, s):
     """Reference verdict: the map applied to every non-fixed pair and again
     to its image, so each 2-orbit is checked from both of its pairs."""
     family = bj._family(cid, n, k, r, s)
+    sign = layer_sign(cid, (n, k, r, s))
     target = bj.closed_form(cid, n, k, r, s)
     kind = cid.split("_")[0]
     invol, predicate = bj._INVOLUTIONS[kind], bj._FIXED[kind]
@@ -384,27 +407,27 @@ def _two_visit_report(cid, n, k, r, s):
     survivors = set()
     total = fixed = signed = 0
     involutive = sign_reversing = True
-    for pair in bj.iter_pairs(cid, n, k, r, s):
+    for cfg in bj.iter_pairs(cid, n, k, r, s):
         total += 1
-        signed += pair.sign
-        if predicate(pair.config):
+        signed += sign(cfg)
+        if predicate(cfg):
             fixed += 1
-            sign_reversing = sign_reversing and pair.sign == 1
+            sign_reversing = sign_reversing and sign(cfg) == 1
             if relabel is not None:
-                survivors.add(relabel(family, pair.config))
+                survivors.add(relabel(family, cfg))
             try:
-                invol(pair)
+                invol(cfg)
             except bj.FixedPointError:
                 pass
             else:
                 involutive = False
             continue
-        image = invol(pair)
-        if image.sign != -pair.sign or image.sign != family.sign(n, image.config.inner.k, k):
+        image = invol(cfg)
+        if sign(image) != -sign(cfg):
             sign_reversing = False
-        if not family.holds(image.config):
+        if not family.holds(image):
             involutive = False
-        elif predicate(image.config) or invol(image) != pair:
+        elif predicate(image) or invol(image) != cfg:
             involutive = False
     passed = involutive and sign_reversing and signed == fixed == target
     if passed and relabel is not None:
@@ -421,7 +444,7 @@ def test_counted_layers_match_the_built_ones():
     for cid, params in INVOLUTION_CASES:
         n, k = params[:2]
         family = bj._family(cid, *params)
-        built = Counter(pair.config.inner.k for pair in bj.iter_pairs(cid, *params))
+        built = Counter(cfg.inner.k for cfg in bj.iter_pairs(cid, *params))
         for j in range(k, n + 1):
             if family.sign(n, j, k) < 0:
                 assert bj._layer_size(family, j, None) == built[j], (cid, params, j)
@@ -435,7 +458,7 @@ def test_counted_layer_over_the_cap_is_refused_before_any_pair(monkeypatch):
 
     def no_pair(*args):
         raise AssertionError("a pair was built")
-    monkeypatch.setattr(bj, "SignedPair", no_pair)
+    monkeypatch.setattr(bj, "OuterArrangement", no_pair)
     with pytest.raises(SizeLimitError):
         bj.verify_construction(cid, n, k, r, s, cap=n + r - 1)
 
@@ -488,6 +511,20 @@ def test_all_constructions_small(cid):
         assert report.passed, report.line()
 
 
+def test_trade_with_each_of_two_exempt_blocks(capsys):
+    # at r = 4, s = 2 the blocks led by 3 and 4 are left out, and III trades
+    # between the group holding label i and the block led by r + 1 - i.
+    # Pairing them the other way is another involution with the same
+    # verdicts, so only the trace digest pins the pairing
+    for k in range(3):
+        report = bj.verify_construction("III_MID", 3, k, 4, 2)
+        assert report.passed and report.total_pairs > report.fixed_points, report.line()
+    assert cli.main(["constructions", "--id", "iii_mid", "--n", "0..3", "--k", "0..3",
+                     "--r", "4", "--s", "2", "--trace"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "650fdf7d6ec96d2a79b67251043d14ef917854e19d93bd737d8f8332dce9cdc4")
+
+
 def test_invalid_parameters():
     with pytest.raises(InvalidParameters):
         bj.verify_construction("IV", 2, 1, 1, 2)      # parity
@@ -513,7 +550,7 @@ def test_survivor_relabelled_onto_another_fails(monkeypatch, capsys, cid, params
     identity = bj._CONSTRUCTIONS[cid][0]
     mode, level, relabel = bj._SURVIVORS[identity]
     predicate = bj._FIXED[cid.split("_")[0]]
-    first, second = [p.config for p in bj.iter_pairs(cid, *params) if predicate(p.config)][:2]
+    first, second = [cfg for cfg in bj.iter_pairs(cid, *params) if predicate(cfg)][:2]
 
     def broken(family, cfg):
         return relabel(family, second if cfg == first else cfg)
@@ -541,11 +578,11 @@ def test_survivor_level_is_not_capped(cid, params, cap):
 def test_fixed_points_carry_positive_sign():
     for cid in ("I_NEG", "III_LT"):
         for n, k, r, s in applying(cid):
-            family = cid.split("_")[0]
-            predicate = bj._FIXED[family]
-            for pair in bj.iter_pairs(cid, n, k, r, s):
-                if predicate(pair.config):
-                    assert pair.sign == 1
+            predicate = bj._FIXED[cid.split("_")[0]]
+            sign = layer_sign(cid, (n, k, r, s))
+            for cfg in bj.iter_pairs(cid, n, k, r, s):
+                if predicate(cfg):
+                    assert sign(cfg) == 1
 
 
 # ----------------------------------------------------------------------
@@ -555,20 +592,20 @@ def test_fixed_points_carry_positive_sign():
 def test_map_iv_plain_case():
     pairs = list(bj.iter_pairs("IV", 2, 1, 0, 0))
     assert len(pairs) == 2 == g_eval(2, 1, 0, 1, 1)
-    images = {bj.map_iv(p.config).blocks for p in pairs}
+    images = {bj.map_iv(cfg).blocks for cfg in pairs}
     assert images == {d.blocks for d in enumerate_distributions(2, 1, 0)}
 
 
 def test_map_iv_round_trips():
     for n, k, r, s in applying("IV"):
         seen = set()
-        for pair in bj.iter_pairs("IV", n, k, r, s):
-            image = bj.map_iv(pair.config)
+        for cfg in bj.iter_pairs("IV", n, k, r, s):
+            image = bj.map_iv(cfg)
             image.validate()
             assert image.r == (r + s) // 2 and image.k == k
             assert image.blocks not in seen
             seen.add(image.blocks)
-            assert bj.inv_iv(image, r, s) == pair.config
+            assert bj.inv_iv(image, r, s) == cfg
         assert len(seen) == g_eval(n, k, (r + s) // 2, 1, 1)
 
 
@@ -579,8 +616,7 @@ def test_inv_iv_then_map_iv_is_identity():
 
 
 def test_map_iv_rejects_bad_input():
-    cfg = next(bj.iter_pairs("IV", 2, 1, 1, 1)).config
-    broken = bj.OuterArrangement(cfg.inner, cfg.specials, cfg.outer_blocks, "all")
+    broken = replace(next(bj.iter_pairs("IV", 2, 1, 1, 1)), outer_kind="all")
     with pytest.raises((bj.MalformedConfiguration, InvalidParameters)):
         bj.map_iv(broken)
     with pytest.raises((bj.MalformedConfiguration, InvalidParameters)):
@@ -605,7 +641,7 @@ def test_map_iv_image_outside_the_codomain_fails(monkeypatch, capsys, outside):
 def test_map_iv_sending_two_pairs_to_one_image_fails(monkeypatch, capsys):
     # negative control: the second pair's image maps back to the first pair,
     # so the round trip alone refutes injectivity, with no image set
-    first, second, *_ = (pair.config for pair in bj.iter_pairs("IV", 2, 1, 1, 1))
+    first, second, *_ = bj.iter_pairs("IV", 2, 1, 1, 1)
     map_iv = bj.map_iv
     monkeypatch.setattr(bj, "map_iv", lambda cfg: map_iv(first if cfg == second else cfg))
     report = bj.verify_construction("IV", 2, 1, 1, 1)
@@ -621,53 +657,111 @@ def test_map_iv_sending_two_pairs_to_one_image_fails(monkeypatch, capsys):
 
 
 def test_outer_arrangement_validate_catches_duplicates():
-    cfg = next(bj.iter_pairs("I_POS", 2, 1, 1, 0)).config
-    doubled = bj.OuterArrangement(cfg.inner, cfg.specials,
-                                  cfg.outer_blocks + cfg.outer_blocks[-1:],
-                                  cfg.outer_kind)
+    cfg = next(bj.iter_pairs("I_POS", 2, 1, 1, 0))
+    doubled = replace(cfg, outer_blocks=cfg.outer_blocks + cfg.outer_blocks[-1:])
     with pytest.raises(bj.MalformedConfiguration):
         doubled.validate()
-    # one special, the distinguished block (1,), and two ordinary blocks
-    inner = bj.LahDistribution(3, 1, ((1,), (2, 4), (3,)))
+    # at n = 3, r = 1: one special, the distinguished block (1,), and the
+    # two ordinary blocks (2, 4) and (3,), all arranged
     good = ((-1, (2, 4)), ((1,), (3,)))
     for kind in ("all", "min_first", "increasing"):
-        bj.OuterArrangement(inner, 1, good, kind).validate()
+        bj.OuterArrangement(3, 1, 1, good, (), kind).validate()
     bad = [
-        (1, good + ((),), "all"),                          # empty group
-        (1, ((-1, (1,), (2, 4)), ((3,),)), "all"),         # two distinguished items together
-        (1, ((-1, (2, 4)), ((3,), (1,))), "min_first"),    # cycle not led by its smallest
-        (1, ((-1, (2, 4)), ((3,), (1,))), "increasing"),   # increasing group out of order
-        (1, ((-2, (2, 4)), ((1,), (3,))), "all"),          # special labels not -1..-1
-        (1, ((-1, (2,)), ((1,), (3,))), "all"),            # block not in the inner distribution
-        (1, (((1,), (3,)), (-1, (2, 4))), "all"),          # groups out of canonical order
-        (1, good, "lah"),                                  # unknown kind
-        (-1, (((1,), (2, 4), (3,)),), "all"),              # negative special count
-        (1, ((-1, [2, 4]), ((1,), (3,))), "all"),          # a block given as a list
+        (1, good + ((),), (), "all"),                          # empty group
+        (1, ((-1, (1,), (2, 4)), ((3,),)), (), "all"),         # two distinguished items together
+        (1, ((-1, (2, 4)), ((3,), (1,))), (), "min_first"),    # cycle not led by its smallest
+        (1, ((-1, (2, 4)), ((3,), (1,))), (), "increasing"),   # increasing group out of order
+        (1, ((-2, (2, 4)), ((1,), (3,))), (), "all"),          # special labels not -1..-1
+        (1, ((-1, (2,)), ((1,), (3,))), (), "all"),            # label 4 in no block
+        (1, good, ((1,),), "all"),                             # a block arranged and exempt
+        (1, ((-1, (2, 4)), ((1,),)), ((3,),), "all"),          # an ordinary block exempt
+        (1, ((-1, (2, 4)),), ((1,), (3,)), "all"),             # more exempt blocks than r
+        (1, (((1,), (3,)), (-1, (2, 4))), (), "all"),          # groups out of canonical order
+        (1, good, (), "lah"),                                  # unknown kind
+        (-1, (((1,), (2, 4), (3,)),), (), "all"),              # negative special count
+        (1, ((-1, [2, 4]), ((1,), (3,))), (), "all"),          # a block given as a list
+        (1, ((-1, (2, 4)), ((3,),)), ([1],), "all"),           # an exempt block as a list
     ]
-    for specials, groups, kind in bad:
+    for specials, groups, exempt, kind in bad:
         with pytest.raises(bj.MalformedConfiguration):
-            bj.OuterArrangement(inner, specials, groups, kind).validate()
+            bj.OuterArrangement(3, 1, specials, groups, exempt, kind).validate()
     # at r = 2 the block led by 2 is arranged while the block led by 1 is left out
-    inner = bj.LahDistribution(1, 2, ((1,), (2,), (3,)))
     with pytest.raises(bj.MalformedConfiguration):
-        bj.OuterArrangement(inner, 0, (((2,),), ((3,),)), "all").validate()
+        bj.OuterArrangement(1, 2, 0, (((2,),), ((3,),)), ((1,),), "all").validate()
+    # both left out, but not in order of their minima
+    bj.OuterArrangement(1, 2, 0, (((3,),),), ((1,), (2,)), "all").validate()
+    with pytest.raises(bj.MalformedConfiguration):
+        bj.OuterArrangement(1, 2, 0, (((3,),),), ((2,), (1,)), "all").validate()
     # outer items that are neither an int nor a tuple block of ints
-    inner = bj.LahDistribution(2, 0, ((1,), (2,)))
     for groups in ((([2],),), (((1, [2]),),), ((("2",),),)):
         with pytest.raises(bj.MalformedConfiguration):
-            bj.OuterArrangement(inner, 0, groups, "all").validate()
+            bj.OuterArrangement(2, 0, 0, groups, (), "all").validate()
+
+
+def _every_pair():
+    for cid in bj.CONSTRUCTION_IDS:
+        for params in applying(cid):
+            family = bj._family(cid, *params)
+            for cfg in bj.iter_pairs(cid, *params):
+                yield family, cfg
 
 
 def test_validate_accepts_every_pair():
     # validate is membership of the family a configuration implies, so it
     # holds every pair of every construction's family
     pairs = 0
-    for cid in bj.CONSTRUCTION_IDS:
-        for params in applying(cid):
-            for pair in bj.iter_pairs(cid, *params):
-                pair.config.validate()
-                pairs += 1
+    for _, cfg in _every_pair():
+        cfg.validate()
+        pairs += 1
     assert pairs == 9705
+
+
+def test_every_pair_stores_each_inner_block_once():
+    # the derived inner distribution is one the family's inner enumeration
+    # yields, and the exempt blocks are exactly its left-out blocks
+    inners = {}
+    pairs = 0
+    for family, cfg in _every_pair():
+        n, r, mode = key = family.n, family.r, family.inner_mode
+        if key not in inners:
+            inners[key] = set(enumerate_distributions(n, None, r, mode))
+        assert cfg.inner in inners[key]
+        assert cfg.exempt == cfg.inner.blocks[family.low:family.r]
+        pairs += 1
+    assert pairs == 9705
+
+
+def _held_twice(image):
+    """The image with its first arranged block also exempt."""
+    block = next(it for g in image.outer_blocks for it in g if not isinstance(it, int))
+    return replace(image, exempt=image.exempt + (block,))
+
+
+def _ordinary_exempt(image):
+    """The image with its exempt block and the last item of its last group
+    swapped: an ordinary block is exempt, the left-out block arranged."""
+    *groups, last = image.outer_blocks
+    return replace(image, outer_blocks=(*groups, last[:-1] + image.exempt), exempt=last[-1:])
+
+
+@pytest.mark.parametrize("malformed,ending", [(_held_twice, "inv=n sign=n FAIL"),
+                                              (_ordinary_exempt, "inv=n sign=y FAIL")])
+def test_image_with_wrong_exempt_blocks_fails(monkeypatch, capsys, malformed, ending):
+    # negative controls: no family member is malformed this way, and an
+    # involution whose images are fails through the membership test
+    cid, params = "I_POS", (3, 1, 1, 0)
+    family = bj._family(cid, *params)
+    for cfg in bj.iter_pairs(cid, *params):
+        with pytest.raises(bj.MalformedConfiguration):
+            malformed(cfg).validate()
+        assert not family.holds(malformed(cfg))
+    assert bj.verify_construction(cid, *params).passed
+    monkeypatch.setitem(bj._INVOLUTIONS, "I", lambda cfg: malformed(bj.invol_i(cfg)))
+    report = bj.verify_construction(cid, *params)
+    assert not report.involutive and report.line().endswith(ending)
+    assert cli.main(["constructions", "--id", "i_pos", "--n", "3", "--k", "1",
+                     "--r", "1", "--s", "0"]) == 1
+    assert capsys.readouterr().out.endswith(ending + "\n")
 
 
 def test_trace_texts():
@@ -676,7 +770,7 @@ def test_trace_texts():
     assert len(events) == 4
     for before, after in events:
         assert "(" in before and "(" in after
-    cyc = next(bj.iter_pairs("II_MID", 2, 1, 1, 2)).config
+    cyc = next(bj.iter_pairs("II_MID", 2, 1, 1, 2))
     assert "⟨" in cyc.text() and "[-1]" in cyc.text()
 
 

@@ -291,6 +291,8 @@ def test_usage_error_exit_code(capsys):
     ("check", "--id", "connection", "--jobs", "2"),
     ("oracle", "--n", "1", "--r", "0", "--jobs", "2"),
     ("sequences", "bell", "--n", "3", "--cap-override", "12"),
+    ("sequences", "bell", "--n", "4", "--r", "3"),
+    ("sequences", "a000262", "--n", "4", "--r", "1"),
 ])
 def test_flags_only_where_they_act(capsys, argv):
     assert run(capsys, *argv) == (2, "")
@@ -369,6 +371,16 @@ def test_poisoned_store_fails_the_oracle(capsys, poisoned_store):
     assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
         "MISMATCH n=3 k=1 r=1 oracle=11*a^2 + 18*a*b + 7*b^2 "
         "triangle=11*a^2 + 18*a*b + 7*b^2 + 1"]
+
+
+def test_poisoned_store_inversion_witness_differs(capsys, poisoned_store):
+    # the witness is the first entry the round trip moved, not entry 0,
+    # which a cell of row n >= 1 cannot move
+    report = identities.check_inversion(5, 1, 1)
+    assert not report.passed and report.lhs != report.rhs
+    code, out = run(capsys, "check", "--id", "inversion", "--n", "5", "--r", "1", "--s", "1")
+    lhs, rhs = (line.split(":")[1] for line in out.splitlines()[1:])
+    assert code == 1 and lhs != rhs
 
 
 def test_poisoned_store_fails_sequences(capsys, poisoned_store):
