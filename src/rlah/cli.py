@@ -183,11 +183,8 @@ def cmd_check(args) -> Output:
     ids, unknown = _ids(args.id, identities.IDENTITY_IDS)
     if unknown:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
-    try:
-        reports, skipped = identities.sweep_detailed(
-            ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s)
-    except identities.InvalidParameters as exc:
-        return _refuse("check", EXIT_USAGE, exc)
+    reports, skipped = identities.sweep_detailed(
+        ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s)
 
     def rows():
         for rep in reports:

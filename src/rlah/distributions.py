@@ -113,6 +113,10 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
     Groups appear in ascending order of their smallest rank.  This is the
     insertion engine shared by distribution enumeration and the outer
     arrangements of the proof constructions.
+
+    The order is depth first: each rank in turn goes first into a new
+    singleton group, then into the groups left to right, within a group
+    at its allowed positions left to right.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -121,39 +125,26 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
     if k is not None and not 0 <= k <= num_ordinary:
         return
     total = num_ordinary + num_distinguished
-    target = None if k is None else k + num_distinguished
-    if total == 0:
-        yield ()
-        return
-    last = total - 1
-    positions = {"all": lambda group: range(len(group) + 1),
-                 "min_first": lambda group: range(1, len(group) + 1),
-                 "increasing": lambda group: (len(group),)}[mode]
-
-    def extend(groups: tuple[tuple[int, ...], ...], idx: int):
-        if idx == last:
-            # the children of a second-to-last node are the leaves: place the
-            # last rank here instead of descending one generator per leaf
-            if target is None or len(groups) + 1 == target:
-                yield groups + ((idx,),)
-            if idx >= num_distinguished and (target is None or len(groups) == target):
-                for gi, group in enumerate(groups):
-                    head, tail = groups[:gi], groups[gi + 1:]
-                    for p in positions(group):
-                        yield head + (group[:p] + (idx,) + group[p:],) + tail
-            return
-        if target is not None and len(groups) + (total - idx) < target:
-            return
-        if target is None or len(groups) < target:
-            yield from extend(groups + ((idx,),), idx + 1)
-        if idx < num_distinguished:
-            return
-        for gi, group in enumerate(groups):
-            for p in positions(group):
-                inserted = group[:p] + (idx,) + group[p:]
-                yield from extend(groups[:gi] + (inserted,) + groups[gi + 1:], idx + 1)
-
-    yield from extend((), 0)
+    least = 0 if k is None else k + num_distinguished
+    most = total if k is None else least
+    front = 1 if mode == "min_first" else 0
+    # children go on in reverse so that they come off in the order above; a
+    # child that adds no group goes on only if it can still reach ``least``
+    stack: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
+    while stack:
+        groups, idx = stack.pop()
+        if idx == total:
+            yield groups
+            continue
+        if idx >= num_distinguished and len(groups) + total - idx > least:
+            for gi in range(len(groups) - 1, -1, -1):
+                group = groups[gi]
+                low = len(group) if mode == "increasing" else front
+                for p in range(len(group), low - 1, -1):
+                    stack.append((groups[:gi] + (group[:p] + (idx,) + group[p:],)
+                                  + groups[gi + 1:], idx + 1))
+        if len(groups) < most:
+            stack.append((groups + ((idx,),), idx + 1))
 
 
 def is_arrangement(groups: tuple[tuple[int, ...], ...], num_ordinary: int,

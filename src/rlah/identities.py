@@ -375,7 +375,7 @@ def _order(identity_id: str, params) -> tuple:
     return (identity_id, tuple(-1 if v is None else v for v in params))
 
 
-def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
+def sweep_detailed(ids: Sequence[str], *, n: Iterable[int] = (0,),
                    k: Iterable[int] = (0,), m: Iterable[int] = (0,),
                    r: Iterable[int] = (0,), s: Iterable[int] = (0,)):
     """Run the selected checks over Cartesian ranges, one after another in
@@ -386,8 +386,6 @@ def sweep_detailed(ids: Sequence[str] | None = None, *, n: Iterable[int] = (0,),
     (identity_id, params) order.  Checks read ``lah_core.DEFAULT`` and are
     looked up by name at call time, and INVERSION's PRNG seed comes from ``s``.
     """
-    if ids is None:
-        ids = IDENTITY_IDS
     unknown = [i for i in ids if i not in IDENTITIES]
     if unknown:
         raise InvalidParameters(f"unknown identity ids: {unknown}")

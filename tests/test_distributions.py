@@ -177,7 +177,7 @@ def _parent_arrangements(num_ordinary, num_distinguished, k, mode):
 
 
 def test_generator_order_and_multiplicity_match_the_reference():
-    for total in range(7):
+    for total in range(8):
         for distinguished in range(total + 1):
             ordinary = total - distinguished
             for mode in MODES:
