@@ -6,10 +6,12 @@ blocks whose contents are linearly ordered, with the r smallest labels
 object by object, the record-low statistics that define the weight of a
 distribution.  ``oracle_g`` sums those weights by brute force -- the
 independent check against the recurrence-filled triangles in
-:mod:`rlah.lah_core`.  It counts the record lows of each finished grouping
-in one pass over its groups, never from the insertion move that produced
-it (that would be the recurrence it checks); ``stats`` is the per-object
-definition the tests compare it with.
+:mod:`rlah.lah_core`.  Distributions are in bijection with pairs of a
+canonical set partition (distinguished labels in distinct blocks, blocks
+ordered by minimum) and one linear order per block, and nrec and rec* are
+sums over the blocks of counts on each block's order.  So the oracle takes
+each set partition with every choice of orders from ``itertools``; no
+"all"-mode insertion move (the recurrence it checks) is on its path.
 
 Generation is by incremental insertion: label m+1 enters a distribution
 of 1..m either as a new singleton block, at the front of an existing
@@ -29,7 +31,9 @@ validator and family-membership test calls it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Iterator
 
 from .poly import ZERO, Polynomial
@@ -208,27 +212,32 @@ def enumerate_distributions(n: int, k: int | None, r: int, mode: str = "all",
             for groups in iter_arrangements(n, r, k, mode))
 
 
-def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Polynomial]:
-    """Sum a^nrec b^rec* over the finished groupings, per value of k.
+def _lows(order: tuple[int, ...]) -> int:
+    """How many entries of ``order`` are smaller than every entry before them."""
+    lows, current = 0, order[0] + 1
+    for rank in order:
+        if rank < current:
+            lows += 1
+            current = rank
+    return lows
 
-    Record lows are counted on each grouping of ranks as ``record_lows``
-    counts them on labels (a rank is its label minus one, so every
-    comparison is the same); ``stats`` is the per-object definition the
-    tests hold this tally to.
+
+def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Polynomial]:
+    """Sum a^nrec b^rec* over every distribution, per value of k.
+
+    Each distribution is one set partition of the ranks (an "increasing"
+    grouping, a rank being a label minus one) with one contents order per
+    group, so its record lows are the sum of ``_lows`` over its orders;
+    ``stats`` is the per-object definition the tests hold this tally to.
     """
     _admit(n, k, r, cap)
     total = n + r
     counts: dict[tuple[int, int, int], int] = {}
-    for groups in iter_arrangements(n, r, k, "all"):
-        lows = 0
-        for group in groups:
-            current = total
-            for rank in group:
-                if rank < current:
-                    lows += 1
-                    current = rank
-        key = (len(groups) - r, total - lows, lows - len(groups))
-        counts[key] = counts.get(key, 0) + 1
+    for groups in iter_arrangements(n, r, k, "increasing"):
+        orders = [[_lows(order) for order in permutations(group)] for group in groups]
+        for lows, count in Counter(map(sum, product(*orders))).items():
+            key = (len(groups) - r, total - lows, lows - len(groups))
+            counts[key] = counts.get(key, 0) + count
     rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
     for (j, nrec, rec_star), count in counts.items():
         rows.setdefault(j, {})[(nrec, rec_star, 0, 0)] = count

@@ -1,5 +1,6 @@
 """Enumeration, record-low statistics, and the oracle against the triangles."""
 
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -9,7 +10,7 @@ from rlah.distributions import (MODES, LahDistribution, SizeLimitError,
                                 enumerate_distributions, is_arrangement, iter_arrangements,
                                 oracle_g, oracle_row, record_lows, stats)
 from rlah.lah_core import g_eval, g_poly
-from rlah.poly import A, B, ONE, ZERO
+from rlah.poly import A, B, ONE, ZERO, Polynomial
 
 
 def dist(n, r, *blocks):
@@ -217,17 +218,21 @@ def test_oracle_values():
 
 
 def _reference_row(n, r):
-    """The per-object weight sums the oracle's tally must reproduce."""
-    row = {}
+    """The per-object weight sums the oracle's tally must reproduce, from
+    the "all"-mode insertion engine rather than the oracle's set partitions."""
+    tally = Counter()
     for d in enumerate_distributions(n, None, r):
         st = stats(d)
-        row[d.k] = row.get(d.k, ZERO) + A ** st.nrec * B ** st.rec_star
-    return row
+        tally[d.k, st.nrec, st.rec_star] += 1
+    rows = {}
+    for (k, nrec, rec_star), count in tally.items():
+        rows.setdefault(k, {})[(nrec, rec_star, 0, 0)] = count
+    return {k: Polynomial(terms) for k, terms in rows.items()}
 
 
 def test_oracle_tally_matches_per_object_stats():
     for r in range(4):
-        for n in range(7 - r):
+        for n in range(8 - r):
             reference = _reference_row(n, r)
             assert oracle_row(n, r) == reference, (n, r)
             for k in range(n + 1):
