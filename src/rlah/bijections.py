@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from . import identities
-from .distributions import (MODES, LahDistribution, check_cap, enumerate_distributions,
-                            is_arrangement, iter_arrangements)
+from .distributions import (DEFAULT_CAP, MODES, LahDistribution, SizeLimitError, check_cap,
+                            enumerate_distributions, is_arrangement, iter_arrangements)
 from .identities import InvalidParameters
 
 class FixedPointError(Exception):
@@ -67,7 +67,7 @@ def _rank(item) -> int:
 
 
 def _group_key(group) -> int:
-    return min(_rank(it) for it in group)
+    return min(map(_rank, group))
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,63 @@ class _Family(NamedTuple):
         except (TypeError, ValueError):
             return False
 
+    def holds_after(self, cfg: OuterArrangement, image: OuterArrangement) -> bool:
+        """``holds(image)`` for an image that differs from a member ``cfg``
+        (``iter_pairs`` yielded it) only in the groups and exempt blocks that
+        are not ``cfg``'s own objects at the same position, with ``k`` fixed.
+        Only those parts are read.  Their labels are ``cfg``'s there, ints
+        negative and block labels positive: so the blocks hold 1..n+r once
+        each.  Each read group follows the outer mode by ``_rank``, which
+        orders items as the family's ranks do; its least rank lies strictly
+        between its neighbours' and, for i < s, is the i-th distinguished
+        item's.  The other groups keep their least ranks and positions, so the
+        groups form an arrangement the family yields.  Each read block follows
+        the inner mode, and each read exempt block p is led by low+1+p.  So
+        every label l <= r leads a block (in group specials+l-1 or as exempt
+        block l-low-1), and the exempt blocks are the left-out ones in order."""
+        groups, old_groups, exempt = image.outer_blocks, cfg.outer_blocks, image.exempt
+        if (image.n, image.r, image.specials, image.outer_kind, len(groups), len(exempt)) != (
+                cfg.n, cfg.r, cfg.specials, cfg.outer_kind, len(old_groups), len(cfg.exempt)):
+            return False
+        s, specials, last = self.s, self.specials, len(groups) - 1
+        inner_mode, outer_mode = self.inner_mode, self.outer_mode
+        if exempt is not cfg.exempt:  # exempt block p is read as a one-item group at last+1+p
+            groups += tuple((block,) for block in exempt)
+            old_groups += tuple((block,) for block in cfg.exempt)
+        before, after = [], []
+        try:
+            for i, group in enumerate(groups):
+                old = old_groups[i]
+                if group is old:
+                    continue
+                for it in old:
+                    before += (it,) if isinstance(it, int) else it
+                ranks = []
+                for it in group:
+                    if type(it) is tuple:
+                        low = min(it)
+                        if (low < 1 or inner_mode == "min_first" and it[0] != low
+                                or inner_mode == "increasing" and list(it) != sorted(it)):
+                            return False
+                        after += it
+                    elif isinstance(it, int) and it < 0:
+                        low = it
+                        after.append(it)
+                    else:
+                        return False
+                    ranks.append(low)
+                least = min(ranks)
+                if (least != self.low + i - last if i > last
+                        else outer_mode == "min_first" and ranks[0] != least
+                        or outer_mode == "increasing" and ranks != sorted(ranks)
+                        or i and _group_key(groups[i - 1]) >= least
+                        or i < last and _group_key(groups[i + 1]) <= least
+                        or i < s and least != i - specials + (i >= specials)):
+                    return False
+        except (TypeError, ValueError):
+            return False
+        return sorted(before) == sorted(after)
+
 
 def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -> bool:
     if construction_id not in _CONSTRUCTIONS:
@@ -229,6 +286,16 @@ def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -
     identity, cases = _CONSTRUCTIONS[construction_id]
     precondition = identities.IDENTITIES[identity][1]
     return precondition(n, k, r, s) and (r > s) - (r < s) in cases
+
+
+def check_construction_cap(n: int, r: int, s: int, cap: int | None) -> None:
+    """Raise SizeLimitError when a pair family's inner distributions of n+r
+    labels or its outer arrangements of up to n+s items exceed the cap."""
+    check_cap(n, r, cap)
+    limit = DEFAULT_CAP if cap is None else cap
+    if n + s > limit:
+        raise SizeLimitError(f"n+s = {n + s} exceeds the enumeration cap {limit}; "
+                             f"raise the cap explicitly to proceed")
 
 
 def _family(construction_id: str, n: int, k: int, r: int, s: int) -> _Family:
@@ -261,7 +328,7 @@ def _layer_size(family: _Family, j: int, cap: int | None) -> int:
     """How many pairs ``_layer_pairs`` yields at ``j``, counted without
     building one: the inner groupings times the outer groupings.  The
     cap applies as if the layer were built."""
-    check_cap(family.n, family.r, cap)
+    check_construction_cap(family.n, family.r, family.s, cap)
     inner = sum(1 for _ in iter_arrangements(family.n, family.r, j, family.inner_mode))
     return inner and inner * sum(
         1 for _ in iter_arrangements(j, family.s, family.k, family.outer_mode))
@@ -272,12 +339,12 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
     """Enumerate the pair family of one construction layer by layer (by the
     inner non-distinguished block count ``j``, whose sign every pair of
     the layer carries), building only the layers whose sign is in
-    ``signs``; the inner distributions of n+r labels are subject to the
-    enumeration cap."""
+    ``signs``.  A request over the enumeration cap on either side is
+    refused by the call itself, not at the first pair."""
     family = _family(construction_id, n, k, r, s)
-    for j in range(k, n + 1):
-        if family.sign(n, j, k) in signs:
-            yield from _layer_pairs(family, j, cap)
+    check_construction_cap(n, r, s, cap)
+    return (cfg for j in range(k, n + 1) if family.sign(n, j, k) in signs
+            for cfg in _layer_pairs(family, j, cap))
 
 
 # ----------------------------------------------------------------------
@@ -741,8 +808,9 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     block count ``j``) have the sign ``family.sign(n, j, k)``.  The layers
     of sign +1 are built: the fixed predicate runs on each of their pairs,
     and the map is applied to each non-fixed one.  Its image must lie in
-    a layer of sign -1 (the family's sign at the image's block count, read
-    without sorting its blocks), lie in the pair family, fail the fixed
+    the pair family (``holds_after``, which reads only what the move
+    changed), lie in a layer of sign -1 (the family's sign at the image's
+    block count, read without sorting its blocks), fail the fixed
     predicate and map back to the pair; a ``FixedPointError`` from either
     application counts as not involutive.  The layers of sign -1 are
     counted, not built (``_layer_size``, under the same cap).  That checks
@@ -761,6 +829,7 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     of pairs equals the closed form, which certifies bijectivity.
     """
     family = _family(construction_id, n, k, r, s)
+    check_construction_cap(n, r, s, cap)
     target = family.closed(n, k, r, s)
     params = (n, k, r, s)
     if construction_id == "IV":
@@ -802,9 +871,13 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
         if image is None:
             involutive = False
             continue
-        if family.sign(n, len(image.inner_blocks()) - r, k) > 0:
+        member = family.holds_after(cfg, image)
+        # a member's only int items are its specials
+        blocks = (sum(map(len, image.outer_blocks)) - image.specials + len(image.exempt)
+                  if member else len(image.inner_blocks()))
+        if family.sign(n, blocks - r, k) > 0:
             sign_reversing = False
-        if not family.holds(image):
+        if not member:
             involutive = False  # neither the predicate nor the map is defined off the family
             continue
         if predicate(image) or _image(invol, image) != cfg:

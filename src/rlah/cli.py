@@ -253,9 +253,8 @@ def cmd_constructions(args) -> Output:
                 for n, k, r, s in product(args.n, args.k, args.r, args.s)
                 if bijections.construction_applies(cid, n, k, r, s)]
     try:
-        for _, n, _, r, _ in selected:
-            # each pair family enumerates inner distributions of n+r labels
-            check_cap(n, r, args.cap_override)
+        for _, n, _, r, s in selected:
+            bijections.check_construction_cap(n, r, s, args.cap_override)
     except SizeLimitError as exc:
         return _refuse("constructions", EXIT_CAP, exc)
     reports = [bijections.verify_construction(*task, cap=args.cap_override)

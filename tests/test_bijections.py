@@ -21,6 +21,21 @@ def applying(cid):
     return [(n, k, r, s) for n, k, r, s in SMALL if bj.construction_applies(cid, n, k, r, s)]
 
 
+@pytest.fixture(autouse=True)
+def delta_membership_agrees_with_holds(monkeypatch):
+    """Every image a test here has the verifier check, each malformed image
+    of the negative controls included, gets the same verdict from the
+    delta check ``holds_after`` as from the full ``holds``."""
+    holds, holds_after = bj._Family.holds, bj._Family.holds_after
+
+    def checked(family, cfg, image):
+        verdict = holds_after(family, cfg, image)
+        assert verdict == holds(family, image), (cfg, image)
+        return verdict
+
+    monkeypatch.setattr(bj._Family, "holds_after", checked)
+
+
 def layer_sign(cid, params):
     """The sign of a pair of the family: that of its layer."""
     n, k = params[:2]
@@ -463,6 +478,21 @@ def test_counted_layer_over_the_cap_is_refused_before_any_pair(monkeypatch):
         bj.verify_construction(cid, n, k, r, s, cap=n + r - 1)
 
 
+def test_outer_side_over_the_cap_is_refused_on_the_call(monkeypatch):
+    # n + r = 5 is within the cap, the n + s = 17 outer items are not
+    def no_grouping(*args):
+        raise AssertionError("a grouping was generated")
+
+    monkeypatch.setattr(bj, "iter_arrangements", no_grouping)
+    family = bj._family("I_NEG", 5, 0, 0, 12)
+    for call in (lambda: bj.iter_pairs("I_NEG", 5, 0, 0, 12),
+                 lambda: bj._layer_size(family, 5, None),
+                 lambda: bj.verify_construction("I_NEG", 5, 0, 0, 12)):
+        with pytest.raises(SizeLimitError, match=r"n\+s = 17"):
+            call()
+    bj.iter_pairs("I_NEG", 5, 0, 0, 12, cap=17)  # a raised cap admits both sides
+
+
 def test_sign_directed_verdict_matches_the_two_visit_reference():
     for cid, params in INVOLUTION_CASES:
         report = bj.verify_construction(cid, *params)
@@ -568,9 +598,9 @@ def test_survivor_relabelled_onto_another_fails(monkeypatch, capsys, cid, params
 
 
 @pytest.mark.parametrize("cid,params,cap", [("II_GT", (2, 1, 2, 0), 4),
-                                            ("III_LT", (2, 1, 0, 2), 2)])
+                                            ("III_LT", (2, 1, 0, 2), 4)])
 def test_survivor_level_is_not_capped(cid, params, cap):
-    # n + r is within the cap, n + level (2r - s or 2s - r) is not
+    # n + r and n + s are within the cap, n + level (2r - s or 2s - r) is not
     report = bj.verify_construction(cid, *params, cap=cap)
     assert report.passed and report.fixed_points == 9
 
@@ -762,6 +792,225 @@ def test_image_with_wrong_exempt_blocks_fails(monkeypatch, capsys, malformed, en
     assert cli.main(["constructions", "--id", "i_pos", "--n", "3", "--k", "1",
                      "--r", "1", "--s", "0"]) == 1
     assert capsys.readouterr().out.endswith(ending + "\n")
+
+
+# ----------------------------------------------------------------------
+# membership read from what a move changed
+
+
+def test_delta_membership_agrees_with_holds_on_every_image():
+    # both signs: the verifier maps the positive pairs only, the reference
+    # above the negative ones too
+    images = 0
+    for cid, params in INVOLUTION_CASES:
+        family = bj._family(cid, *params)
+        kind = cid.split("_")[0]
+        for cfg in bj.iter_pairs(cid, *params):
+            if not bj._FIXED[kind](cfg):
+                image = bj._INVOLUTIONS[kind](cfg)
+                assert family.holds_after(cfg, image) and family.holds(image)
+                images += 1
+    assert images == 7624
+
+
+def test_verifier_does_not_fall_back_to_the_full_membership_test(monkeypatch):
+    def no_full_check(family, cfg):
+        raise AssertionError("holds was called")
+
+    monkeypatch.setattr(bj._Family, "holds", no_full_check)
+    for cid, params in (("I_POS", (3, 1, 1, 0)), ("I_NEG", (3, 1, 0, 2)),
+                        ("II_MID", (3, 1, 1, 2)), ("III_MID", (3, 1, 2, 1))):
+        assert bj.verify_construction(cid, *params).passed
+
+
+def _with_groups(image, changed):
+    """The image with the groups at the indices of ``changed`` replaced."""
+    groups = list(image.outer_blocks)
+    for i, group in changed.items():
+        groups[i] = group
+    return replace(image, outer_blocks=tuple(groups))
+
+
+def _blocks_of(image):
+    """(group index, position, block) of each arranged block."""
+    return [(gi, pos, it) for gi, g in enumerate(image.outer_blocks)
+            for pos, it in enumerate(g) if not isinstance(it, int)]
+
+
+def _below_left_neighbour(cfg, image):
+    # an item of group i-2 below group i-1's least moves into group i, whose
+    # left neighbour is the pair's own
+    groups = image.outer_blocks
+    for i in range(2, len(groups)):
+        lowest = bj._group_key(groups[i - 2])
+        for pos, it in enumerate(groups[i - 2]):
+            if (groups[i - 1] is cfg.outer_blocks[i - 1]
+                    and lowest < bj._rank(it) < bj._group_key(groups[i - 1])):
+                return _with_groups(image, {i - 2: groups[i - 2][:pos] + groups[i - 2][pos + 1:],
+                                            i: groups[i] + (it,)})
+    return None
+
+
+def _above_right_neighbour(cfg, image):
+    # group i's least item joins group i-1, leaving group i above its right
+    # neighbour, the pair's own
+    groups = image.outer_blocks
+    for i in range(1, len(groups) - 1):
+        group = groups[i]
+        pos = min(range(len(group)), key=lambda p: bj._rank(group[p]))
+        rest = group[:pos] + group[pos + 1:]
+        if (rest and groups[i + 1] is cfg.outer_blocks[i + 1]
+                and bj._group_key(rest) > bj._group_key(groups[i + 1])):
+            return _with_groups(image, {i - 1: groups[i - 1] + group[pos:pos + 1], i: rest})
+    return None
+
+
+def _second_distinguished_in_the_first_group(cfg, image):
+    # group 1 (s = 2) gives up its distinguished item to group 0
+    groups = image.outer_blocks
+    group = groups[1]
+    pos = min(range(len(group)), key=lambda p: bj._rank(group[p]))
+    rest = group[:pos] + group[pos + 1:]
+    if rest and (len(groups) == 2 or bj._group_key(rest) < bj._group_key(groups[2])):
+        return _with_groups(image, {0: groups[0] + group[pos:pos + 1], 1: rest})
+    return None
+
+
+def _not_led_by_its_least(cfg, image):
+    # a min-first group rotated so that its least item is no longer first
+    for gi, group in enumerate(image.outer_blocks):
+        if len(group) > 1:
+            return _with_groups(image, {gi: group[1:] + group[:1]})
+    return None
+
+
+def _out_of_increasing_order(cfg, image):
+    for gi, group in enumerate(image.outer_blocks):
+        if len(group) > 1:
+            return _with_groups(image, {gi: group[::-1]})
+    return None
+
+
+def _block_not_led_by_its_minimum(cfg, image):
+    for gi, pos, block in _blocks_of(image):
+        if len(block) > 1:
+            group = image.outer_blocks[gi]
+            return _with_groups(image, {gi: group[:pos] + (block[1:] + block[:1],)
+                                        + group[pos + 1:]})
+    return None
+
+
+def _singleton_as_an_int(cfg, image):
+    # a label of its own read as a positive special: same labels, same rank
+    for gi, pos, block in _blocks_of(image):
+        if len(block) == 1:
+            group = image.outer_blocks[gi]
+            return _with_groups(image, {gi: group[:pos] + block + group[pos + 1:]})
+    return None
+
+
+def _block_as_a_list(cfg, image):
+    gi, pos, block = _blocks_of(image)[0]
+    group = image.outer_blocks[gi]
+    return _with_groups(image, {gi: group[:pos] + (list(block),) + group[pos + 1:]})
+
+
+def _special_as_a_block(cfg, image):
+    # the special -1 held as the block (-1,): same labels, same rank
+    gi, pos, _ = bj._locate(image, -1)
+    group = image.outer_blocks[gi]
+    return _with_groups(image, {gi: group[:pos] + ((-1,),) + group[pos + 1:]})
+
+
+def _exempt_out_of_order(cfg, image):
+    return replace(image, exempt=image.exempt[::-1])
+
+
+def _label_lost(cfg, image):
+    for gi, pos, block in _blocks_of(image):
+        if len(block) > 1:
+            group = image.outer_blocks[gi]
+            return _with_groups(image, {gi: group[:pos] + (block[:-1],) + group[pos + 1:]})
+    return None
+
+
+def _label_duplicated(cfg, image):
+    # a block takes a copy of a label above its minimum from another block
+    blocks = _blocks_of(image)
+    for gi, pos, block in blocks:
+        for _, _, other in blocks:
+            extra = [e for e in other if e > min(block) and e != min(other)]
+            if other is not block and extra:
+                group = image.outer_blocks[gi]
+                return _with_groups(image, {gi: group[:pos] + (block + tuple(extra[:1]),)
+                                            + group[pos + 1:]})
+    return None
+
+
+def _two_distinguished_labels(cfg, image):
+    # label 2 leaves its exempt block for the arranged block led by 1
+    (led_by_2,) = image.exempt
+    if len(led_by_2) == 1:
+        return None
+    gi, pos, block = bj._locate(image, 1)
+    group = image.outer_blocks[gi]
+    return replace(_with_groups(image, {gi: group[:pos] + (block + (2,),) + group[pos + 1:]}),
+                   exempt=(tuple(e for e in led_by_2 if e != 2),))
+
+
+def _field(**changes):
+    return lambda cfg, image: replace(image, **changes)
+
+
+#: One malformed image per membership clause, each built from the image of
+#: a real pair and breaking that clause alone; IV has no involution, so its
+#: cases (the only outer increasing and inner min-first families) test the
+#: two membership checks on a pair, not the verifier.
+ONE_CLAUSE = [
+    ("n", "I_POS", (3, 1, 1, 0), _field(n=4)),
+    ("r", "I_POS", (3, 1, 1, 0), _field(r=2)),
+    ("specials", "I_NEG", (3, 1, 0, 1), _field(specials=2)),
+    ("outer-kind", "II_EQ", (3, 1, 1, 1), _field(outer_kind="all")),
+    ("left-neighbour", "I_POS", (4, 3, 0, 0), _below_left_neighbour),
+    ("right-neighbour", "I_POS", (4, 3, 0, 0), _above_right_neighbour),
+    ("distinguished-lead", "I_NEG", (3, 1, 0, 2), _second_distinguished_in_the_first_group),
+    ("outer-min_first", "II_EQ", (3, 1, 1, 1), _not_led_by_its_least),
+    ("outer-increasing", "IV", (3, 1, 1, 1), _out_of_increasing_order),
+    ("inner-min_first", "IV", (3, 1, 1, 1), _block_not_led_by_its_minimum),
+    ("positive-int", "I_POS", (3, 1, 1, 0), _singleton_as_an_int),
+    ("block-as-a-list", "I_POS", (3, 1, 1, 0), _block_as_a_list),
+    ("special-in-a-block", "I_NEG", (3, 1, 0, 1), _special_as_a_block),
+    ("two-distinguished-labels", "I_POS", (3, 1, 2, 1), _two_distinguished_labels),
+    ("arranged-block-led-by-low-plus-1", "I_POS", (3, 1, 1, 0),
+     lambda cfg, image: _ordinary_exempt(image)),
+    ("exempt-lead", "I_POS", (3, 1, 2, 0), _exempt_out_of_order),
+    ("lost-label", "I_POS", (3, 1, 1, 0), _label_lost),
+    ("duplicated-label", "I_POS", (4, 1, 1, 0), _label_duplicated),
+]
+
+
+@pytest.mark.parametrize("cid,params,malform", [case[1:] for case in ONE_CLAUSE],
+                         ids=[case[0] for case in ONE_CLAUSE])
+def test_image_breaking_one_membership_clause_fails(monkeypatch, capsys, cid, params, malform):
+    family = bj._family(cid, *params)
+    if cid == "IV":
+        cfg, bad = next((cfg, bad) for cfg in bj.iter_pairs(cid, *params)
+                        if (bad := malform(cfg, cfg)) is not None)
+        assert not family.holds(bad) and not family.holds_after(cfg, bad)
+        return
+    kind = cid.split("_")[0]
+    invol, predicate = bj._INVOLUTIONS[kind], bj._FIXED[kind]
+    cfg, bad = next((cfg, bad) for cfg in bj.iter_pairs(cid, *params, signs=(1,))
+                    if not predicate(cfg) and (bad := malform(cfg, invol(cfg))) is not None)
+    assert family.holds(invol(cfg)) and not family.holds(bad)
+    assert not family.holds_after(cfg, bad)
+    assert bj.verify_construction(cid, *params).passed
+    monkeypatch.setitem(bj._INVOLUTIONS, kind, lambda pair: bad if pair == cfg else invol(pair))
+    report = bj.verify_construction(cid, *params)
+    assert not report.involutive and not report.passed
+    # a non-member's sign is read from its blocks, as before the delta check
+    n, k, r = params[:3]
+    assert report.sign_reversing == (family.sign(n, len(bad.inner_blocks()) - r, k) < 0)
 
 
 def test_trace_texts():

@@ -171,6 +171,29 @@ def test_oracle_cap_override(capsys):
     assert code == 0
 
 
+def test_constructions_refuse_an_outer_side_over_the_cap_before_enumerating(capsys,
+                                                                           monkeypatch):
+    # n + r = 5 is within the cap, the n + s = 17 outer items are not
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a grouping was generated before the cap refusal")
+
+    monkeypatch.setattr(bijections, "iter_arrangements", no_enumeration)
+    assert run(capsys, "constructions", "--id", "i_neg", "--n", "5", "--k", "0", "--r", "0",
+               "--s", "12") == (3, "")
+    # an admitted request does reach the patched name, so the refusal above
+    # is not vacuous
+    with pytest.raises(AssertionError, match="generated"):
+        run(capsys, "constructions", "--id", "i_neg", "--n", "1", "--k", "0", "--r", "0",
+            "--s", "1")
+
+
+def test_constructions_cap_override_raises_the_outer_bound(capsys):
+    argv = ("constructions", "--id", "i_neg", "--n", "2", "--k", "0", "--r", "0", "--s", "8")
+    assert run(capsys, *argv) == (3, "")
+    code, out = run(capsys, *argv, "--cap-override", "10")
+    assert code == 0 and out.endswith("PASS\n")
+
+
 def test_constructions_pass(capsys):
     code, out = run(capsys, "constructions", "--id", "iv", "--n", "0..3", "--k", "0..3",
                     "--r", "0..2", "--s", "0..2")
