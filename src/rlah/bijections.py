@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from . import identities
-from .distributions import (DEFAULT_CAP, MODES, LahDistribution, SizeLimitError, check_cap,
-                            enumerate_distributions, is_arrangement, iter_arrangements)
+from .distributions import (MODES, LahDistribution, check_cap, enumerate_distributions,
+                            is_arrangement, iter_arrangements)
 from .identities import InvalidParameters
 
 class FixedPointError(Exception):
@@ -288,16 +288,6 @@ def construction_applies(construction_id: str, n: int, k: int, r: int, s: int) -
     return precondition(n, k, r, s) and (r > s) - (r < s) in cases
 
 
-def check_construction_cap(n: int, r: int, s: int, cap: int | None) -> None:
-    """Raise SizeLimitError when a pair family's inner distributions of n+r
-    labels or its outer arrangements of up to n+s items exceed the cap."""
-    check_cap(n, r, cap)
-    limit = DEFAULT_CAP if cap is None else cap
-    if n + s > limit:
-        raise SizeLimitError(f"n+s = {n + s} exceeds the enumeration cap {limit}; "
-                             f"raise the cap explicitly to proceed")
-
-
 def _family(construction_id: str, n: int, k: int, r: int, s: int) -> _Family:
     if not construction_applies(construction_id, n, k, r, s):
         raise InvalidParameters(
@@ -328,7 +318,7 @@ def _layer_size(family: _Family, j: int, cap: int | None) -> int:
     """How many pairs ``_layer_pairs`` yields at ``j``, counted without
     building one: the inner groupings times the outer groupings.  The
     cap applies as if the layer were built."""
-    check_construction_cap(family.n, family.r, family.s, cap)
+    check_cap(family.n, family.r, cap, family.s)
     inner = sum(1 for _ in iter_arrangements(family.n, family.r, j, family.inner_mode))
     return inner and inner * sum(
         1 for _ in iter_arrangements(j, family.s, family.k, family.outer_mode))
@@ -342,7 +332,7 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
     ``signs``.  A request over the enumeration cap on either side is
     refused by the call itself, not at the first pair."""
     family = _family(construction_id, n, k, r, s)
-    check_construction_cap(n, r, s, cap)
+    check_cap(n, r, cap, s)
     return (cfg for j in range(k, n + 1) if family.sign(n, j, k) in signs
             for cfg in _layer_pairs(family, j, cap))
 
@@ -787,8 +777,9 @@ def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
 # verification
 
 
-def _image(invol, cfg: OuterArrangement) -> OuterArrangement | None:
-    """The map's image of a pair, or None where it raises FixedPointError."""
+def _image(invol, cfg: OuterArrangement) -> OuterArrangement | LahDistribution | None:
+    """The map's image of a pair, or None where it raises FixedPointError;
+    ``map_iv`` never does, so its images pass through unchanged."""
     try:
         return invol(cfg)
     except FixedPointError:
@@ -829,7 +820,7 @@ def verify_construction(construction_id: str, n: int, k: int, r: int, s: int,
     of pairs equals the closed form, which certifies bijectivity.
     """
     family = _family(construction_id, n, k, r, s)
-    check_construction_cap(n, r, s, cap)
+    check_cap(n, r, cap, s)
     target = family.closed(n, k, r, s)
     params = (n, k, r, s)
     if construction_id == "IV":
@@ -903,11 +894,7 @@ def trace_construction(construction_id: str, n: int, k: int, r: int, s: int,
     every pair on which the map does not raise ``FixedPointError``.  Both
     render with ``text()``.  Nothing is checked here and nothing is kept:
     the verdict comes from ``verify_construction`` alone."""
-    if construction_id == "IV":
-        for cfg in iter_pairs(construction_id, n, k, r, s, cap):
-            yield cfg, map_iv(cfg)
-        return
-    invol = _INVOLUTIONS[construction_id.split("_")[0]]
+    invol = map_iv if construction_id == "IV" else _INVOLUTIONS[construction_id.split("_")[0]]
     for cfg in iter_pairs(construction_id, n, k, r, s, cap):
         image = _image(invol, cfg)
         if image is not None:

@@ -254,7 +254,7 @@ def cmd_constructions(args) -> Output:
                 if bijections.construction_applies(cid, n, k, r, s)]
     try:
         for _, n, _, r, s in selected:
-            bijections.check_construction_cap(n, r, s, args.cap_override)
+            check_cap(n, r, args.cap_override, s)
     except SizeLimitError as exc:
         return _refuse("constructions", EXIT_CAP, exc)
     reports = [bijections.verify_construction(*task, cap=args.cap_override)

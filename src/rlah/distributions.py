@@ -110,7 +110,7 @@ def stats(dist: LahDistribution) -> StatPair:
 
 def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
                       mode: str = "all") -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield groupings of the ranks 0..num_ordinary+num_distinguished-1.
+    """An iterator over the groupings of the ranks 0..num_ordinary+num_distinguished-1.
 
     Ranks below ``num_distinguished`` each occupy their own group; with
     ``k`` given, exactly ``k + num_distinguished`` groups are produced.
@@ -120,35 +120,38 @@ def iter_arrangements(num_ordinary: int, num_distinguished: int, k: int | None,
 
     The order is depth first: each rank in turn goes first into a new
     singleton group, then into the groups left to right, within a group
-    at its allowed positions left to right.
+    at its allowed positions left to right.  A bad mode or a negative count
+    is refused by the call itself, not at the first grouping.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if num_ordinary < 0 or num_distinguished < 0:
         raise ValueError("counts must be nonnegative")
-    if k is not None and not 0 <= k <= num_ordinary:
-        return
     total = num_ordinary + num_distinguished
     least = 0 if k is None else k + num_distinguished
     most = total if k is None else least
     front = 1 if mode == "min_first" else 0
-    # children go on in reverse so that they come off in the order above; a
-    # child that adds no group goes on only if it can still reach ``least``
-    stack: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
-    while stack:
-        groups, idx = stack.pop()
-        if idx == total:
-            yield groups
-            continue
-        if idx >= num_distinguished and len(groups) + total - idx > least:
-            for gi in range(len(groups) - 1, -1, -1):
-                group = groups[gi]
-                low = len(group) if mode == "increasing" else front
-                for p in range(len(group), low - 1, -1):
-                    stack.append((groups[:gi] + (group[:p] + (idx,) + group[p:],)
-                                  + groups[gi + 1:], idx + 1))
-        if len(groups) < most:
-            stack.append((groups + ((idx,),), idx + 1))
+
+    def walk():
+        # children go on in reverse so that they come off in the order above;
+        # a child that adds no group goes on only if it can still reach ``least``
+        stack: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
+        while stack:
+            groups, idx = stack.pop()
+            if idx == total:
+                yield groups
+                continue
+            if idx >= num_distinguished and len(groups) + total - idx > least:
+                for gi in range(len(groups) - 1, -1, -1):
+                    group = groups[gi]
+                    low = len(group) if mode == "increasing" else front
+                    for p in range(len(group), low - 1, -1):
+                        stack.append((groups[:gi] + (group[:p] + (idx,) + group[p:],)
+                                      + groups[gi + 1:], idx + 1))
+            if len(groups) < most:
+                stack.append((groups + ((idx,),), idx + 1))
+
+    return iter(()) if k is not None and not 0 <= k <= num_ordinary else walk()
 
 
 def is_arrangement(groups: tuple[tuple[int, ...], ...], num_ordinary: int,
@@ -183,13 +186,15 @@ def is_arrangement(groups: tuple[tuple[int, ...], ...], num_ordinary: int,
     return seen == list(range(start, start + num_ordinary + num_distinguished))
 
 
-def check_cap(n: int, r: int, cap: int | None) -> None:
-    """Raise SizeLimitError when enumerating n+r labels exceeds the cap."""
+def check_cap(n: int, r: int, cap: int | None, s: int = 0) -> None:
+    """Raise SizeLimitError when enumerating n+r labels, or a construction's
+    n+s outer items, exceeds the cap.  The one cap check: every enumeration
+    and construction request is refused on the call, before any object."""
     limit = DEFAULT_CAP if cap is None else cap
-    if n + r > limit:
-        raise SizeLimitError(
-            f"n+r = {n + r} exceeds the enumeration cap {limit}; "
-            f"raise the cap explicitly to proceed")
+    for side, size in (("r", n + r), ("s", n + s)):
+        if size > limit:
+            raise SizeLimitError(f"n+{side} = {size} exceeds the enumeration cap {limit}; "
+                                 f"raise the cap explicitly to proceed")
 
 
 def _admit(n: int, k: int | None, r: int, cap: int | None) -> None:
@@ -205,8 +210,6 @@ def enumerate_distributions(n: int, k: int | None, r: int, mode: str = "all",
     number when k is None) once; a bad or oversized request is refused by
     the call itself, not at the first object."""
     _admit(n, k, r, cap)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     return (LahDistribution(n=n, r=r, blocks=tuple(tuple(rank + 1 for rank in group)
                                                    for group in groups))
             for groups in iter_arrangements(n, r, k, mode))

@@ -191,32 +191,44 @@ class Polynomial:
     # substitution
 
     def eval(self, **bindings: int) -> "Polynomial":
-        """Substitute integers for a subset of the variables, by name.
+        """``substitute`` with an int for each named variable, and nothing else.
 
-        The result is a polynomial in the remaining variables; a full
-        binding yields a constant polynomial (read it with ``as_int``).
-        A value that is not an int is refused, as in the constructor.
+        A full binding yields a constant polynomial (read it with
+        ``as_int``).  An unknown name raises KeyError, and then a value that
+        is not an int raises ValueError, as in the constructor.
         """
-        if not bindings:
-            return self
+        return self.substitute(int, **bindings)
+
+    def substitute(self, kinds: type | tuple | None = None, /,
+                   **replacements: "Polynomial | int") -> "Polynomial":
+        """Substitute an int or a polynomial for each named variable, all at once.
+
+        The one substitution routine, a ring homomorphism: each term's
+        coefficient is multiplied by every replacement raised to the
+        variable's exponent, and the product is shifted by the variables
+        left in place.  Names are checked in order, each before its value:
+        an unknown name raises KeyError, a value that is not an instance
+        of ``kinds`` (int or Polynomial; ``eval`` passes int) ValueError.
+        """
         pairs = []
-        for name, value in bindings.items():
+        for name, value in replacements.items():
             if name not in VARIABLES:
                 raise KeyError(f"unknown variable {name!r}")
-            if not isinstance(value, int):
+            if not isinstance(value, kinds or (int, Polynomial)):
                 raise ValueError(f"inexact binding {name}={value!r}")
             pairs.append((VARIABLES.index(name), value))
+        if not pairs:
+            return self
         out: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
-            c = coeff
-            new = list(mono)
-            for idx, value in pairs:
-                e = new[idx]
-                if e:
-                    c *= value ** e
-                new[idx] = 0
-            if c:
-                key = tuple(new)
+            rest, value = list(mono), coeff
+            for idx, base in pairs:
+                if rest[idx]:
+                    value = value * base ** rest[idx]
+                    rest[idx] = 0
+            terms = value._terms.items() if isinstance(value, Polynomial) else ((_CONST, value),)
+            for m, c in terms:
+                key = (rest[0] + m[0], rest[1] + m[1], rest[2] + m[2], rest[3] + m[3])
                 acc = out.get(key, 0) + c
                 if acc:
                     out[key] = acc
@@ -225,30 +237,6 @@ class Polynomial:
         result = Polynomial.__new__(Polynomial)
         result._terms = out
         return result
-
-    def substitute(self, **replacements: "Polynomial | int") -> "Polynomial":
-        """Substitute polynomials for variables (a ring homomorphism)."""
-        repl: dict[int, Polynomial] = {}
-        for name, value in replacements.items():
-            if name not in VARIABLES:
-                raise KeyError(f"unknown variable {name!r}")
-            repl[VARIABLES.index(name)] = self._coerce(value)
-        if not repl:
-            return self
-        total = ZERO
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for idx, e in enumerate(mono):
-                if not e:
-                    continue
-                base = repl.get(idx)
-                if base is None:
-                    key = tuple(e if i == idx else 0 for i in range(4))
-                    term = term * Polynomial({key: 1})
-                else:
-                    term = term * base ** e
-            total = total + term
-        return total
 
     def swap_ab(self) -> "Polynomial":
         """Exchange the roles of the a and b variables."""

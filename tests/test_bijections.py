@@ -9,7 +9,7 @@ import pytest
 
 from rlah import bijections as bj
 from rlah import cli
-from rlah.distributions import SizeLimitError, enumerate_distributions
+from rlah.distributions import SizeLimitError, check_cap, enumerate_distributions
 from rlah.identities import IDENTITIES, InvalidParameters
 from rlah.lah_core import g_eval
 
@@ -487,7 +487,8 @@ def test_outer_side_over_the_cap_is_refused_on_the_call(monkeypatch):
     family = bj._family("I_NEG", 5, 0, 0, 12)
     for call in (lambda: bj.iter_pairs("I_NEG", 5, 0, 0, 12),
                  lambda: bj._layer_size(family, 5, None),
-                 lambda: bj.verify_construction("I_NEG", 5, 0, 0, 12)):
+                 lambda: bj.verify_construction("I_NEG", 5, 0, 0, 12),
+                 lambda: check_cap(5, 0, None, 12)):
         with pytest.raises(SizeLimitError, match=r"n\+s = 17"):
             call()
     bj.iter_pairs("I_NEG", 5, 0, 0, 12, cap=17)  # a raised cap admits both sides

@@ -263,3 +263,11 @@ def test_iter_arrangements_modes():
         assert len(grouping) == 2
         assert sum(len(g) for g in grouping) == 3
     assert list(iter_arrangements(2, 1, 5, "all")) == []
+
+
+def test_iter_arrangements_refuses_on_the_call():
+    for bad in (lambda: iter_arrangements(1, 0, None, "bogus"),
+                lambda: iter_arrangements(-1, 0, None),
+                lambda: iter_arrangements(0, -1, None)):
+        with pytest.raises(ValueError):
+            bad()  # before any next()

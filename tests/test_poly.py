@@ -43,13 +43,22 @@ def test_eval_examples():
 def test_eval_unknown_variable():
     with pytest.raises(KeyError):
         A.eval(q=1)
+    with pytest.raises(KeyError):
+        A.eval(q=1.5)  # the name is checked before the value
 
 
-@pytest.mark.parametrize("value", [1.5, "2"])
+@pytest.mark.parametrize("value", [1.5, "2", B])
 def test_eval_rejects_inexact_bindings(value):
-    # int() would truncate 1.5 to 1 and parse "2" as 2
+    # int() would truncate 1.5 to 1 and parse "2" as 2; eval takes no polynomial
     with pytest.raises(ValueError):
         A.eval(a=value)
+
+
+@pytest.mark.parametrize("binding", [{"a": 1.5}, {"b": "t"}])
+def test_substitute_rejects_inexact_bindings(binding):
+    (name, value), = binding.items()
+    with pytest.raises(ValueError, match=f"{name}={value!r}"):
+        A.substitute(**binding)
 
 
 def test_as_int_rejects_non_constant():
@@ -84,6 +93,8 @@ def test_substitute():
     p = A ** 2 + B
     assert p.substitute(a=-T) == T ** 2 + B
     assert p.substitute(b=T) == A ** 2 + T
+    assert p.substitute(a=B, b=A) == B ** 2 + A  # all at once, not one after the other
+    assert (2 * A * X + B).substitute(a=3, b=A + T) == 6 * X + A + T
     assert (A * B).swap_ab() == A * B
     assert (2 * A + 3 * B).swap_ab() == 3 * A + 2 * B
 
@@ -172,6 +183,9 @@ def test_self_cancellation(p):
 def test_eval_is_homomorphism(p, q, sigma):
     assert (p + q).eval(**sigma) == p.eval(**sigma) + q.eval(**sigma)
     assert (p * q).eval(**sigma) == p.eval(**sigma) * q.eval(**sigma)
+    # the int and the polynomial branch of the one routine agree
+    assert p.substitute(**{name: Polynomial.constant(v) for name, v in sigma.items()}) \
+        == p.eval(**sigma)
 
 
 @given(base=polynomials(max_terms=2), step=polynomials(max_terms=2), m=st.integers(0, 12))
