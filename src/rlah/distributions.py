@@ -10,7 +10,8 @@ independent check against the recurrence-filled triangles in
 canonical set partition (distinguished labels in distinct blocks, blocks
 ordered by minimum) and one linear order per block, and nrec and rec* are
 sums over the blocks of counts on each block's order.  So the oracle takes
-each set partition with every choice of orders from ``itertools``; no
+each set partition, counts the record lows of each block's orders from
+``itertools`` once per call, and convolves the blocks' counts; no
 "all"-mode insertion move (the recurrence it checks) is on its path.
 
 Generation is by incremental insertion: label m+1 enters a distribution
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterator
 
 from .poly import ZERO, Polynomial
@@ -230,15 +231,29 @@ def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Po
 
     Each distribution is one set partition of the ranks (an "increasing"
     grouping, a rank being a label minus one) with one contents order per
-    group, so its record lows are the sum of ``_lows`` over its orders;
-    ``stats`` is the per-object definition the tests hold this tally to.
+    group, so its record lows are the sum of ``_lows`` over its orders.
+    Each group's orders are tallied once per call into a histogram of
+    record lows, and a partition's tally is the convolution of its groups'
+    histograms; ``stats`` is the per-object definition the tests hold this
+    tally to.
     """
     _admit(n, k, r, cap)
     total = n + r
     counts: dict[tuple[int, int, int], int] = {}
+    histograms: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
     for groups in iter_arrangements(n, r, k, "increasing"):
-        orders = [[_lows(order) for order in permutations(group)] for group in groups]
-        for lows, count in Counter(map(sum, product(*orders))).items():
+        tally = {0: 1}
+        for group in groups:
+            histogram = histograms.get(group)
+            if histogram is None:
+                histogram = histograms[group] = tuple(
+                    Counter(map(_lows, permutations(group))).items())
+            merged: dict[int, int] = {}
+            for lows, count in tally.items():
+                for more, ways in histogram:
+                    merged[lows + more] = merged.get(lows + more, 0) + count * ways
+            tally = merged
+        for lows, count in tally.items():
             key = (len(groups) - r, total - lows, lows - len(groups))
             counts[key] = counts.get(key, 0) + count
     rows: dict[int, dict[tuple[int, int, int, int], int]] = {}

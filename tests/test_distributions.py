@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from rlah import distributions
+from rlah import cli, distributions
 from rlah.distributions import (MODES, LahDistribution, SizeLimitError,
                                 enumerate_distributions, is_arrangement, iter_arrangements,
                                 oracle_g, oracle_row, record_lows, stats)
@@ -246,6 +246,27 @@ def test_oracle_matches_triangle_small():
             for k in range(n + 1):
                 assert row.get(k, ONE - ONE) == g_poly(n, k, r)
                 assert oracle_g(n, k, r) == g_poly(n, k, r)
+
+
+def test_oracle_sees_a_wrong_record_low_count(capsys, monkeypatch):
+    """Negative control: an off-by-one ``_lows`` (kept within the order's
+    length, so every weight stays a monomial) must reach the oracle's tally
+    and the CLI verdict.  The right row is computed first, so a histogram
+    kept past its call would hide the patched count."""
+    triangle = [g_poly(3, k, 0) for k in range(4)]
+    assert [oracle_row(3, 0).get(k, ZERO) for k in range(4)] == triangle
+    right = distributions._lows
+    monkeypatch.setattr(distributions, "_lows", lambda order: min(right(order) + 1, len(order)))
+    assert [oracle_row(3, 0).get(k, ZERO) for k in range(4)] != triangle
+    assert cli.main(["oracle", "--n", "3", "--r", "0"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_bad_mode_is_refused_by_the_validators():
+    with pytest.raises(ValueError):
+        is_arrangement(((0,),), 1, 0, None, "bogus")
+    with pytest.raises(ValueError):
+        LahDistribution(1, 0, ((1,),)).follows("bogus")
 
 
 def test_text_format():

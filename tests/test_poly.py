@@ -81,6 +81,20 @@ def test_constructor_rejects_inexact_or_malformed_terms(terms):
         Polynomial(terms)
 
 
+@pytest.mark.parametrize("op", [lambda: A + "x", lambda: A - 1.5, lambda: A * None])
+def test_arithmetic_refuses_inexact_operands(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_equality_power_and_range_product_refusals():
+    assert (A == "a") is False
+    with pytest.raises(ValueError):
+        A ** -1
+    with pytest.raises(ValueError):
+        range_product(A, B, -1)
+
+
 def test_range_product_examples():
     assert range_product(X, 1, 0) == ONE
     assert range_product(X, 1, 3) == X ** 3 + 3 * X ** 2 + 2 * X
