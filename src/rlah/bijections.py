@@ -667,107 +667,78 @@ def _concat_desc(cycles) -> tuple[int, ...]:
 
 def map_iv(cfg: OuterArrangement) -> LahDistribution:
     """Flatten an (inner cycles, outer arrangement) pair into a single
-    distribution at the averaged distinguished level (r+s)/2.  The
-    distinguished cycles are the exempt blocks, led by 1..r.  Only the
-    parity and the outer kind are checked: the input is a pair of the IV
-    family (``iter_pairs`` yields it, or ``OuterArrangement.validate``
+    distribution at level mid = (r+s)/2; the distinguished cycles are the
+    exempt blocks, led by 1..r.  A group becomes the word of its cycles in
+    decreasing order of their minima, w(i) for special -i.  With half =
+    |r-s|/2 and shift = half if r < s else 0, w(i + shift) takes cycle i
+    for i <= min(r, s); the surplus joins cycle top in mid+1..r, less its
+    label, to cycle top - half, or gives w(i) + (mid - i,) + w(i - mid) for
+    i in mid+1..s.  Labels e < 0 become e + mid + 1, and e > r, e + mid - r.
+    Only the parity and the outer kind are checked: the input is a pair of
+    the IV family (``iter_pairs`` yields it, or ``OuterArrangement.validate``
     accepts it), and the verifier's codomain test checks the output."""
     r, s = cfg.r, cfg.specials
     if (r - s) % 2:
         raise InvalidParameters("r and s must have the same parity")
     if cfg.outer_kind != "increasing":
         raise MalformedConfiguration("construction IV expects an increasing outer family")
-    mid = (r + s) // 2
+    mid, half = (r + s) // 2, abs(r - s) // 2
+    shift = half if r < s else 0
     lead = {b[0]: b for b in cfg.exempt}
-    out = []
-    if r >= s:
-        half = (r - s) // 2
-        for group in cfg.outer_blocks:
-            if isinstance(group[0], int):
-                out.append(_concat_desc(group[1:]) + lead[-group[0]])
-            else:
-                out.append(_concat_desc(group))
-        for top in range(mid + 1, r + 1):
-            out.append(lead[top][1:] + lead[top - half])
-        relabeled = tuple(tuple(e - half if e > r else e for e in blk) for blk in out)
-    else:
-        half = (s - r) // 2
-        special_tail = {}
-        for group in cfg.outer_blocks:
-            if isinstance(group[0], int):
-                special_tail[-group[0]] = group[1:]
-            else:
-                out.append(_concat_desc(group))
-        for i in range(half + 1, s + 1):
-            word = _concat_desc(special_tail[i])
-            if i <= mid:
-                out.append(word + lead[i - half])
-            else:
-                low = i - mid
-                out.append(word + (-low,) + _concat_desc(special_tail[low]))
-
-        def relabel(e: int) -> int:
-            if e < 0:
-                return e + mid + 1
-            return e + half if e > r else e
-
-        relabeled = tuple(tuple(relabel(e) for e in blk) for blk in out)
+    word, out = {}, []
+    for group in cfg.outer_blocks:
+        if isinstance(group[0], int):
+            word[-group[0]] = _concat_desc(group[1:])
+        else:
+            out.append(_concat_desc(group))
+    out += [word[i + shift] + lead[i] for i in range(1, min(r, s) + 1)]
+    for top in range(mid + 1, r + 1):
+        out.append(lead[top][1:] + lead[top - half])
+    for i in range(mid + 1, s + 1):
+        low = i - mid
+        out.append(word[i] + (-low,) + word[low])
+    relabeled = (tuple(e + mid - r if e > r else e + mid + 1 if e < 0 else e for e in blk)
+                 for blk in out)
     return LahDistribution(cfg.n, mid, tuple(sorted(relabeled, key=min)))
 
 
 def inv_iv(dist: LahDistribution, r: int, s: int) -> OuterArrangement:
     """Rebuild the unique pre-image of a distribution under map_iv: its
     outer groups, and the distinguished cycles led by 1..r as its exempt
-    blocks.  Only the parity and the level are checked: the input is a
-    canonical distribution (the verifier has tested it against the
-    codomain, or ``LahDistribution.validate`` accepts it), and the
-    verifier compares the output with the enumerated pair."""
+    blocks.  Undo the relabelling (r < e <= mid becomes e - mid - 1 and
+    e > mid, e + r - mid), then read each block by its least label low:
+    above min(r, mid) a plain group; below 0 the specials mid - low and
+    -low; above s the cycles low and low + half; otherwise cycle low after
+    the word of special low + shift.  Only the parity and the level are
+    checked: the input is a canonical distribution (the verifier has tested
+    it against the codomain, or ``LahDistribution.validate`` accepts it),
+    and the verifier compares the output with the enumerated pair."""
     if (r - s) % 2:
         raise InvalidParameters("r and s must have the same parity")
-    mid = (r + s) // 2
+    mid, half = (r + s) // 2, abs(r - s) // 2
     if dist.r != mid:
         raise MalformedConfiguration(f"expected distinguished level {mid}, got {dist.r}")
+    shift = half if r < s else 0
     lead: dict[int, tuple[int, ...]] = {}
     special_cycles: dict[int, tuple] = {i: () for i in range(1, s + 1)}
-    plain_groups: list[tuple] = []
-    if r >= s:
-        half = (r - s) // 2
-        blocks = [tuple(e + half if e > mid else e for e in blk) for blk in dist.blocks]
-        for blk in blocks:
-            low = min(blk)
-            if low <= s:
-                cut = blk.index(low)
-                lead[low] = blk[cut:]
-                special_cycles[low] = _parse_min_led_cycles(blk[:cut])
-            elif low <= mid:
-                cut = blk.index(low)
-                lead[low] = blk[cut:]
-                lead[low + half] = (low + half,) + blk[:cut]
-            else:
-                plain_groups.append(_parse_min_led_cycles(blk))
-    else:
-        half = (s - r) // 2
-
-        def unlabel(e: int) -> int:
-            if r < e <= mid:
-                return -(mid + 1 - e)
-            return e - half if e > mid else e
-
-        blocks = [tuple(unlabel(e) for e in blk) for blk in dist.blocks]
-        for blk in blocks:
-            low = min(blk)
-            if low < 0:
-                cut = blk.index(low)
-                special_cycles[-low + mid] = _parse_min_led_cycles(blk[:cut])
-                special_cycles[-low] = _parse_min_led_cycles(blk[cut + 1:])
-            elif low <= r:
-                cut = blk.index(low)
-                lead[low] = blk[cut:]
-                special_cycles[low + half] = _parse_min_led_cycles(blk[:cut])
-            else:
-                plain_groups.append(_parse_min_led_cycles(blk))
-    groups = [(-i,) + tuple(sorted(special_cycles[i], key=min)) for i in range(1, s + 1)]
-    groups.extend(tuple(sorted(grp, key=min)) for grp in plain_groups)
+    groups: list[tuple] = []
+    for blk in dist.blocks:
+        blk = tuple(e + r - mid if e > mid else e - mid - 1 if e > r else e for e in blk)
+        low = min(blk)
+        if low > min(r, mid):
+            groups.append(tuple(sorted(_parse_min_led_cycles(blk), key=min)))
+            continue
+        cut = blk.index(low)
+        if low < 0:
+            special_cycles[mid - low] = _parse_min_led_cycles(blk[:cut])
+            special_cycles[-low] = _parse_min_led_cycles(blk[cut + 1:])
+            continue
+        lead[low] = blk[cut:]
+        if low > s:
+            lead[low + half] = (low + half,) + blk[:cut]
+        else:
+            special_cycles[low + shift] = _parse_min_led_cycles(blk[:cut])
+    groups += [(-i,) + tuple(sorted(special_cycles[i], key=min)) for i in range(1, s + 1)]
     groups.sort(key=_group_key)
     return OuterArrangement(dist.n, r, s, tuple(groups),
                             tuple(lead[i] for i in range(1, r + 1)), "increasing")

@@ -249,12 +249,13 @@ def cmd_constructions(args) -> Output:
     ids, unknown = _ids(args.id, bijections.CONSTRUCTION_IDS)
     if unknown:
         return _refuse("constructions", EXIT_USAGE, f"unknown id(s) {unknown}")
-    selected = [(cid, n, k, r, s) for cid in ids
-                for n, k, r, s in product(args.n, args.k, args.r, args.s)
-                if bijections.construction_applies(cid, n, k, r, s)]
+    selected = []
     try:
-        for _, n, _, r, s in selected:
-            check_cap(n, r, args.cap_override, s)
+        for cid in ids:
+            for n, k, r, s in product(args.n, args.k, args.r, args.s):
+                if bijections.construction_applies(cid, n, k, r, s):
+                    check_cap(n, r, args.cap_override, s)
+                    selected.append((cid, n, k, r, s))
     except SizeLimitError as exc:
         return _refuse("constructions", EXIT_CAP, exc)
     reports = [bijections.verify_construction(*task, cap=args.cap_override)

@@ -239,7 +239,7 @@ def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Po
     """
     _admit(n, k, r, cap)
     total = n + r
-    counts: dict[tuple[int, int, int], int] = {}
+    rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
     histograms: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
     for groups in iter_arrangements(n, r, k, "increasing"):
         tally = {0: 1}
@@ -253,12 +253,10 @@ def _weight_sums(n: int, k: int | None, r: int, cap: int | None) -> dict[int, Po
                 for more, ways in histogram:
                     merged[lows + more] = merged.get(lows + more, 0) + count * ways
             tally = merged
+        row = rows.setdefault(len(groups) - r, {})
         for lows, count in tally.items():
-            key = (len(groups) - r, total - lows, lows - len(groups))
-            counts[key] = counts.get(key, 0) + count
-    rows: dict[int, dict[tuple[int, int, int, int], int]] = {}
-    for (j, nrec, rec_star), count in counts.items():
-        rows.setdefault(j, {})[(nrec, rec_star, 0, 0)] = count
+            key = (total - lows, lows - len(groups), 0, 0)
+            row[key] = row.get(key, 0) + count
     return {j: Polynomial(terms) for j, terms in sorted(rows.items())}
 
 

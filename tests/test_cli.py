@@ -194,6 +194,22 @@ def test_constructions_cap_override_raises_the_outer_bound(capsys):
     assert code == 0 and out.endswith("PASS\n")
 
 
+def test_constructions_refuse_over_the_cap_while_selecting(capsys, monkeypatch):
+    # the cap is checked on each applicable tuple as it is selected, so a
+    # request far past the cap is refused without testing all 21**4 tuples
+    calls = []
+    applies = bijections.construction_applies
+
+    def counted(*args):
+        calls.append(args)
+        return applies(*args)
+
+    monkeypatch.setattr(bijections, "construction_applies", counted)
+    assert run(capsys, "constructions", "--id", "i_pos", "--n", "0..20", "--k", "0..20",
+               "--r", "0..20", "--s", "0..20") == (3, "")
+    assert 0 < len(calls) < 1000
+
+
 def test_constructions_pass(capsys):
     code, out = run(capsys, "constructions", "--id", "iv", "--n", "0..3", "--k", "0..3",
                     "--r", "0..2", "--s", "0..2")

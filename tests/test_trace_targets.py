@@ -66,3 +66,19 @@ def test_traced_workload_records_every_active_layer(workload, tmp_path):
         called |= {name for name, entry in tracer.load(spans)["names"].items() if entry["calls"]}
     for layer in active[workload]:
         assert any(name.startswith(layer + ".") for name in called), (workload, layer)
+
+
+def test_traced_constructions_record_every_map(tmp_path):
+    # a map reached through a reference the tracer does not patch (a
+    # closure, or a tuple built at import) would record no call here
+    tracer = _load_tracer()
+    spans = tmp_path / "spans"
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "0",
+                           str(spans), *WORKLOAD_COMMANDS["constructions"][0]],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    names = tracer.load(spans)["names"]
+    for name in ("bijections.map_iv", "bijections.inv_iv", "bijections.invol",
+                 "bijections.fixed_predicate"):
+        assert name in names and names[name]["calls"] > 0, name
