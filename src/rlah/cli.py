@@ -26,6 +26,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+#: Most values one ``LO..HI`` span may hold: far above any sweep that ends
+#: in useful time (the widest in use is 0..20), and cheap to build at once.
+MAX_SPAN = 1_000
+
 
 class Output(NamedTuple):
     """What a command prints.  ``rows`` are objects keyed by ``header``
@@ -87,11 +91,16 @@ def _refuse(command: str, code: int, message) -> Output:
 
 
 def _parse_span(text: str) -> tuple[int, ...]:
-    """``LO..HI`` inclusive, or a single value; HI < LO is the empty selection."""
+    """``LO..HI`` inclusive, or a single value; HI < LO is the empty selection.
+    A span of more than MAX_SPAN values is refused, on one stderr line, before
+    it is built."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
+            if hi - lo >= MAX_SPAN:
+                print(f"rlah: span {text} holds more than {MAX_SPAN} values", file=sys.stderr)
+                raise SystemExit(EXIT_USAGE)
             return tuple(range(lo, hi + 1))
         return (int(text),)
     except ValueError:

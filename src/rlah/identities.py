@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 from . import lah_core
 from .lah_core import TriangleStore as Checker
 from .lah_core import binomial, falling_factorial, rising_factorial
-from .poly import A, B, ONE, X, ZERO, Polynomial, range_product
+from .poly import A, B, ONE, X, ZERO, Polynomial, range_product, sum_of_products
 
 SLOTS = "nkmrs"
 
@@ -127,9 +127,7 @@ def check_connection(n: int, r: int) -> CheckReport:
     params = _params("CONNECTION", n, r)
     c = lah_core.DEFAULT
     lhs = range_product(X + (A + B) * r, A, n)
-    rhs = ZERO
-    for k in range(n + 1):
-        rhs = rhs + c.g(n, k, r) * range_product(X, -B, k)
+    rhs = sum_of_products((1, c.g(n, k, r), range_product(X, -B, k)) for k in range(n + 1))
     return _report("CONNECTION", params, lhs, rhs)
 
 
@@ -137,10 +135,9 @@ def check_vertical(n: int, k: int, r: int) -> CheckReport:
     """Column recurrence: condition on the smallest element of the right-most block."""
     params = _params("VERTICAL", n, k, r)
     c = lah_core.DEFAULT
-    rhs = ZERO
-    for i in range(k, n + 1):
-        tail = range_product(A * i + B * k + (A + B) * r, A, n - i)
-        rhs = rhs + c.g(i - 1, k - 1, r) * tail
+    rhs = sum_of_products((1, c.g(i - 1, k - 1, r),
+                           range_product(A * i + B * k + (A + B) * r, A, n - i))
+                          for i in range(k, n + 1))
     return _report("VERTICAL", params, c.g(n, k, r), rhs)
 
 
@@ -148,22 +145,16 @@ def check_horizontal(n: int, k: int, r: int) -> CheckReport:
     """Row recurrence: condition on the largest element not alone in a block."""
     params = _params("HORIZONTAL", n, k, r)
     c = lah_core.DEFAULT
-    rhs = ZERO
-    for i in range(k + 1):
-        factor = A * (n + r - i - 1) + B * (k + r - i)
-        rhs = rhs + factor * c.g(n - i - 1, k - i, r)
+    rhs = sum_of_products((1, A * (n + r - i - 1) + B * (k + r - i), c.g(n - i - 1, k - i, r))
+                          for i in range(k + 1))
     return _report("HORIZONTAL", params, c.g(n, k, r), rhs)
 
 
 def _binomial_tail(n: int, cell: Callable[[int], Polynomial], base: Polynomial,
                    extra: int = 0) -> Polynomial:
     """sum_i C(n,i) cell(i) prod_{l<n-i+extra}(base + a*l), skipping zero cells."""
-    total = ZERO
-    for i in range(n + 1):
-        value = cell(i)
-        if value:
-            total = total + binomial(n, i) * value * range_product(base, A, n - i + extra)
-    return total
+    return sum_of_products((binomial(n, i), value, range_product(base, A, n - i + extra))
+                           for i in range(n + 1) if (value := cell(i)))
 
 
 def check_shift(n: int, k: int, r: int, s: int) -> CheckReport:
@@ -179,9 +170,8 @@ def check_convolution(n: int, k: int, m: int, r: int, s: int) -> CheckReport:
     params = _params("CONVOLUTION", n, k, m, r, s)
     c = lah_core.DEFAULT
     lhs = binomial(k + m, k) * c.g(n, k + m, r + s)
-    rhs = ZERO
-    for i in range(k, n - m + 1):
-        rhs = rhs + binomial(n, i) * c.g(i, k, r) * c.g(n - i, m, s)
+    rhs = sum_of_products((binomial(n, i), c.g(i, k, r), c.g(n - i, m, s))
+                          for i in range(k, n - m + 1))
     return _report("CONVOLUTION", params, lhs, rhs)
 
 
@@ -189,13 +179,9 @@ def _split_sum(c: Checker, n: int, m: int, r: int,
                inner_cell: Callable[[int, int], Polynomial]) -> Polynomial:
     """sum_{i,j} C(n,i) G(m,j;r) inner_cell(i,j) prod_{l<n-i}(a(m+r+l) + b(j+r)),
     summed over i inside each j: the outer cell does not depend on i."""
-    rhs = ZERO
-    for j in range(m + 1):
-        outer = c.g(m, j, r)
-        if outer:
-            inner = _binomial_tail(n, lambda i: inner_cell(i, j), A * (m + r) + B * (j + r))
-            rhs = rhs + outer * inner
-    return rhs
+    return sum_of_products(
+        (1, outer, _binomial_tail(n, lambda i: inner_cell(i, j), A * (m + r) + B * (j + r)))
+        for j in range(m + 1) if (outer := c.g(m, j, r)))
 
 
 def check_splitting(n: int, m: int, k: int, r: int) -> CheckReport:
@@ -320,9 +306,8 @@ def check_orth(n: int, k: int, r: int) -> CheckReport:
     params = _params("ORTH", n, k, r)
     c = lah_core.DEFAULT
     lhs = ONE if n == k else ZERO
-    rhs = ZERO
-    for j in range(k, n + 1):
-        rhs = rhs + (-1) ** (j - k) * c.g(n, j, r) * c.g_swapped(j, k, r)
+    rhs = sum_of_products(((-1) ** (j - k), c.g(n, j, r), c.g_swapped(j, k, r))
+                          for j in range(k, n + 1))
     return _report("ORTH", params, lhs, rhs)
 
 
@@ -330,9 +315,7 @@ def check_triple(n: int, k: int, r: int) -> CheckReport:
     """Factoring through a free parameter t: G_{a,t} convolved with G_{-t,b}."""
     params = _params("TRIPLE", n, k, r)
     c = lah_core.DEFAULT
-    rhs = ZERO
-    for j in range(k, n + 1):
-        rhs = rhs + c.g_second_t(n, j, r) * c.g_neg_t(j, k, r)
+    rhs = sum_of_products((1, c.g_second_t(n, j, r), c.g_neg_t(j, k, r)) for j in range(k, n + 1))
     return _report("TRIPLE", params, c.g(n, k, r), rhs)
 
 

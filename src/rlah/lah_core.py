@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
-from .poly import ONE, T, X, ZERO, Polynomial, range_product
+from .poly import ONE, T, X, ZERO, Polynomial, range_product, sum_of_products
 
 
 class LahTriangle:
@@ -58,9 +58,10 @@ class LahTriangle:
         """The cell value; zero for out-of-range (n, k)."""
         if n < 0 or k < 0 or k > n:
             return self._zero
-        while self.max_n < n:
+        rows = self._rows
+        while len(rows) <= n:
             self._extend()
-        return self._rows[n][k]
+        return rows[n][k]
 
     def _extend(self) -> None:
         n, r, a, b, prev = self.max_n, self.r, self._a, self._b, self._last
@@ -108,10 +109,7 @@ class TriangleStore:
         if tri is None:
             tri = self._triangles[r] = LahTriangle(r)
         cell = tri.poly(n, k)
-        delta = self._offsets.get((r, n, k))
-        if delta:
-            cell = cell + delta
-        return cell
+        return cell + self._offsets.get((r, n, k), 0) if self._offsets else cell
 
     def _memo(self, key: tuple, compute: Callable[[], Polynomial]) -> Polynomial:
         value = self._derived.get(key)
@@ -143,17 +141,18 @@ class TriangleStore:
         tri = self._triangles.get(key)
         if tri is None:
             tri = self._triangles[key] = LahTriangle(r, a_val, b_val)
-        return tri.poly(n, k) + self._offsets.get((r, n, k), 0)
+        cell = tri.poly(n, k)
+        return cell + self._offsets.get((r, n, k), 0) if self._offsets else cell
 
     def row_sum(self, n: int, r: int) -> Polynomial:
         """Sum of row n over all block counts k."""
-        return self._memo(("row", n, r),
-                          lambda: sum((self.g(n, k, r) for k in range(n + 1)), ZERO))
+        return self._memo(("row", n, r), lambda: sum_of_products(
+            (1, self.g(n, k, r), ONE) for k in range(n + 1)))
 
     def row_sum_marked(self, n: int, r: int) -> Polynomial:
         """Row sum with x marking the number of non-distinguished blocks."""
-        return self._memo(("marked", n, r),
-                          lambda: sum((self.g(n, k, r) * X ** k for k in range(n + 1)), ZERO))
+        return self._memo(("marked", n, r), lambda: sum_of_products(
+            (1, self.g(n, k, r), X ** k) for k in range(n + 1)))
 
 
 #: The store every reader uses; replacing it (or corrupting one of its

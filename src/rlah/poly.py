@@ -8,7 +8,8 @@ exact polynomial equality and is the only equality the identity suite
 relies on.  Coefficients are plain Python ints, never floats: several of
 the quantities computed downstream (row sums of the weight triangles, for
 instance) grow superexponentially.  The constructor rejects any exponent
-or coefficient that is not an int.
+or coefficient that is not an int.  There is one product loop,
+``sum_of_products``: ``*`` is its one-term case.
 
 Text rendering is deterministic -- terms in descending lexicographic
 order of the exponent tuples, e.g. ``2*a*b + 3*b^2`` -- and is shared by
@@ -18,7 +19,7 @@ the CLI and the golden tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 VARIABLES = ("a", "b", "x", "t")
 
@@ -164,18 +165,7 @@ class Polynomial:
             return result
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -267,6 +257,23 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial<{self}>"
+
+
+def sum_of_products(terms: Iterable[tuple[int, Polynomial, Polynomial]]) -> Polynomial:
+    """``sum c * p * q`` over the ``(c, p, q)`` triples, all into one dict, with
+    zero coefficients dropped once at the end; an empty sum is zero."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for scale, left, right in terms:
+        pairs = right._terms.items()
+        for (a1, b1, x1, t1), c1 in left._terms.items():
+            c1 *= scale
+            for (a2, b2, x2, t2), c2 in pairs:
+                mono = (a1 + a2, b1 + b2, x1 + x2, t1 + t2)
+                out[mono] = get(mono, 0) + c1 * c2
+    result = Polynomial.__new__(Polynomial)
+    result._terms = {m: c for m, c in out.items() if c}
+    return result
 
 
 ZERO = Polynomial()

@@ -337,6 +337,26 @@ def test_flags_only_where_they_act(capsys, argv):
     assert run(capsys, *argv) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--id", "connection", "--n", "0..10000000000"),
+    ("constructions", "--id", "iv", "--s", "2..20000000000"),
+])
+def test_a_span_too_wide_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    def no_tuple(*args):
+        raise AssertionError("a span was built before the refusal")
+
+    # _parse_span reads this name before the builtin, so a missing bound
+    # fails here instead of allocating ten billion entries
+    monkeypatch.setattr(cli, "tuple", no_tuple, raising=False)
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    monkeypatch.undo()
+    assert cli._parse_span(f"1..{cli.MAX_SPAN}") == tuple(range(1, cli.MAX_SPAN + 1))
+    with pytest.raises(SystemExit):
+        cli._parse_span(f"0..{cli.MAX_SPAN}")
+
+
 def _span(hi):
     ends = st.integers(-2, hi)
     return ends.map(str) | st.tuples(ends, ends).map(lambda pair: "%d..%d" % pair)

@@ -327,6 +327,34 @@ def test_corrupted_cell_fails_with_witness(monkeypatch):
     assert any(not rep.passed for rep in reports)
 
 
+@pytest.mark.parametrize("identity_id, values, cell", [
+    ("CONNECTION", (3, 1), (1, 3, 1)),
+    ("VERTICAL", (3, 2, 1), (1, 2, 1)),
+    ("HORIZONTAL", (3, 1, 1), (1, 2, 1)),
+    ("SHIFT", (3, 1, 0, 1), (0, 2, 1)),
+    ("CONVOLUTION", (3, 1, 1, 0, 1), (0, 2, 1)),
+    ("SPLITTING", (2, 1, 2, 1), (0, 2, 1)),
+    ("ROWSUM_SHIFT", (3, 0, 1), (0, 2, 1)),
+    ("ROWSUM_SPLIT", (2, 1, 1), (0, 2, 1)),
+    ("ROWSUM_DECOMP", (3, 1), (0, 2, 1)),
+    ("ROWSUM_REC", (3, 1), (0, 2, 1)),
+    ("MARKED_REC", (3, 1), (0, 2, 1)),
+    ("ORTH", (3, 1, 1), (1, 3, 1)),
+    ("TRIPLE", (3, 1, 1), (1, 3, 1)),
+])
+def test_every_polynomial_identity_reads_its_cells(monkeypatch, identity_id, values, cell):
+    # a store with no corrupted cell skips the offset lookup; one that has
+    # one must still add it on every read
+    checker = idn.Checker()
+    monkeypatch.setattr(lah_core, "DEFAULT", checker)
+    check = getattr(idn, idn.IDENTITIES[identity_id][2])
+    assert check(*values).passed
+    checker.corrupt_cell(*cell)
+    report = check(*values)
+    assert not report.passed
+    assert report.lhs is not None and report.rhs is not None
+
+
 def test_corruption_reaches_derived_triangles(monkeypatch):
     checker = idn.Checker()
     checker.corrupt_cell(1, 3, 1, delta=1)

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlah.poly import A, B, ONE, T, VARIABLES, X, ZERO, Polynomial, range_product
+from rlah.poly import (A, B, ONE, T, VARIABLES, X, ZERO, Polynomial, range_product,
+                       sum_of_products)
 
 monomials = st.tuples(st.integers(0, 3), st.integers(0, 3),
                       st.integers(0, 2), st.integers(0, 2))
@@ -213,3 +214,36 @@ def test_range_product_recurrence(base, step, m):
 def test_hash_consistent_with_eq(p, q):
     if p == q:
         assert hash(p) == hash(q)
+
+
+def _pairwise_product(p, q):
+    """The product loop of ``Polynomial.__mul__`` before it became one call of
+    ``sum_of_products``: a coefficient that cancels is popped as it happens."""
+    out = {}
+    for m1, c1 in p.terms().items():
+        for m2, c2 in q.terms().items():
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            acc = out.get(mono, 0) + c1 * c2
+            if acc:
+                out[mono] = acc
+            else:
+                out.pop(mono, None)
+    return Polynomial(out)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), polynomials(), polynomials()), max_size=5))
+@settings(deadline=None)
+def test_sum_of_products_is_the_sum_of_pairwise_products(terms):
+    # scales of 0 and below, and negative coefficients in both factors
+    expected = ZERO
+    for scale, p, q in terms:
+        expected = expected + scale * _pairwise_product(p, q)
+    result = sum_of_products(terms)
+    assert result == expected
+    assert 0 not in result.terms().values()
+
+
+def test_sum_of_products_is_canonical():
+    cancelled = sum_of_products([(1, A + B, A - B), (1, B, B), (-1, A, A)])
+    assert cancelled == ZERO and cancelled.terms() == {}
+    assert sum_of_products([]) == ZERO and sum_of_products(iter(())).terms() == {}
