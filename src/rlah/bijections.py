@@ -20,11 +20,12 @@ sign.  All three choose their move in one order (``_step``): the
 outer groups holding no special, left to right; then, for each special
 -i in order of i, the items left of it, the items right of it and, for
 II only, a trade with the block holding label i.  III then tries a trade
-with the exempt blocks.  The order is part of each map's definition: a
-map that tries the same moves in another order is another involution,
-and every verdict may still pass, so only the golden trace digests pin
-it.  Fixed-set membership is decided by a separate declarative
-predicate so the two implementations can disagree and expose bugs.
+with the exempt blocks.  One pass over the groups locates all specials;
+``_locate`` serves the trades and predicates.  The order is part of
+each map's definition: a map that tries the same moves in another order
+is another involution, and every verdict may still pass, so only the
+golden trace digests pin it.  Fixed-set membership is decided by a
+separate declarative predicate so the two can disagree and expose bugs.
 
 A configuration stores each inner block once: an arranged block as an
 item of its outer group, and a block that no group holds (a left-out
@@ -70,12 +71,14 @@ def _group_key(group) -> int:
     return min(map(_rank, group))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class OuterArrangement:
     """A pair of a construction's family: an inner distribution of 1..n+r
     and an arrangement of some of its blocks.  Each inner block is stored
     once, either as an item of an outer group (with the specials -1, -2,
-    ...) or among ``exempt``, the blocks no group holds, by minimum."""
+    ...) or among ``exempt``, the blocks no group holds, by minimum.
+    Immutable by convention (frozen, it took 3-4x as long to build):
+    nothing in ``src`` assigns to a field, so ``==`` and ``hash`` hold."""
 
     n: int
     r: int
@@ -342,15 +345,11 @@ def iter_pairs(construction_id: str, n: int, k: int, r: int, s: int,
 # surgery helpers
 
 
-def _elements(segment) -> int:
-    return sum(map(len, segment))
-
-
 def _seg_step(segment):
     """Merge a leading singleton into its right neighbour, or split the
     leading element off a larger first block.  None on fewer than two
     labels; self-inverse where it moves."""
-    if _elements(segment) < 2:
+    if sum(map(len, segment)) < 2:
         return None
     first = segment[0]
     if len(first) == 1:
@@ -422,17 +421,25 @@ def _step(cfg: OuterArrangement, group_step, section_step,
     special, then, for each special -i in order of i, ``section_step`` on
     the items left of it, then on those right of it, then ``trade(cfg, i,
     gi)`` if given.  The moved configuration, or None where nothing moves.
-    The order is part of each map's definition; only golden trace digests
-    pin it."""
-    for gi, group in enumerate(cfg.outer_blocks):
-        if cfg.specials and any(isinstance(it, int) for it in group):
-            continue
+    The group pass records where each special stands; a special it did
+    not see goes to ``_locate``.  Only trace digests pin the order."""
+    groups, specials = cfg.outer_blocks, cfg.specials
+    held = {}  # i -> (group index, position) of the first int item -i
+    for gi, group in enumerate(groups):
+        if specials:
+            skip = False
+            for pos, it in enumerate(group):
+                if isinstance(it, int):
+                    held.setdefault(-it, (gi, pos))
+                    skip = True
+            if skip:
+                continue
         moved = group_step(group)
         if moved is not None:
             return _with_group(cfg, gi, moved)
-    for i in range(1, cfg.specials + 1):
-        gi, pos, _ = _locate(cfg, -i)
-        group = cfg.outer_blocks[gi]
+    for i in range(1, specials + 1):
+        gi, pos = held[i] if i in held else _locate(cfg, -i)[:2]
+        group = groups[gi]
         left, right = group[:pos], group[pos + 1:]
         moved = section_step(left)
         if moved is not None:
@@ -524,15 +531,17 @@ _INVOLUTIONS = {"I": invol_i, "II": invol_ii, "III": invol_iii}
 
 def _is_fixed_i(cfg: OuterArrangement) -> bool:
     if cfg.specials == 0:
-        return all(_elements(g) == 1 for g in cfg.outer_blocks)
-    if any(len(b) != 1 for b in cfg.inner_blocks()):
+        return all(sum(map(len, g)) == 1 for g in cfg.outer_blocks)
+    if any(len(b) != 1 for b in cfg.exempt):
         return False
     for group in cfg.outer_blocks:
-        pos = next((i for i, it in enumerate(group) if isinstance(it, int)), None)
-        if pos is None:
-            if len(group) != 1:
+        pos = None
+        for i, it in enumerate(group):
+            if isinstance(it, int):
+                pos = i if pos is None else pos
+            elif len(it) != 1:
                 return False
-        elif pos > 1 or len(group) - pos - 1 > 1:
+        if len(group) != 1 if pos is None else pos > 1 or len(group) - pos - 1 > 1:
             return False
     return True
 

@@ -56,9 +56,10 @@ class StatPair:
     rec_star: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LahDistribution:
-    """A canonical distribution of 1..n+r into contents-ordered blocks."""
+    """A canonical distribution of 1..n+r into contents-ordered blocks.
+    Immutable by convention, like ``bijections.OuterArrangement``."""
 
     n: int
     r: int

@@ -9,7 +9,8 @@ import pytest
 
 from rlah import bijections as bj
 from rlah import cli
-from rlah.distributions import SizeLimitError, check_cap, enumerate_distributions
+from rlah.distributions import (LahDistribution, SizeLimitError, check_cap,
+                                enumerate_distributions)
 from rlah.identities import IDENTITIES, InvalidParameters
 from rlah.lah_core import g_eval
 
@@ -687,33 +688,38 @@ def test_map_iv_sending_two_pairs_to_one_image_fails(monkeypatch, capsys):
 # configuration plumbing
 
 
+#: At n = 3, r = 1: one special, the distinguished block (1,), and the two
+#: ordinary blocks (2, 4) and (3,), all arranged.
+GOOD = ((-1, (2, 4)), ((1,), (3,)))
+
+#: (specials, outer groups, exempt blocks, outer kind) at n = 3, r = 1, each
+#: breaking one invariant of GOOD.
+MALFORMED = [
+    (1, GOOD + ((),), (), "all"),                          # empty group
+    (1, ((-1, (1,), (2, 4)), ((3,),)), (), "all"),         # two distinguished items together
+    (1, ((-1, (2, 4)), ((3,), (1,))), (), "min_first"),    # cycle not led by its smallest
+    (1, ((-1, (2, 4)), ((3,), (1,))), (), "increasing"),   # increasing group out of order
+    (1, ((-2, (2, 4)), ((1,), (3,))), (), "all"),          # special labels not -1..-1
+    (1, ((-1, (2,)), ((1,), (3,))), (), "all"),            # label 4 in no block
+    (1, GOOD, ((1,),), "all"),                             # a block arranged and exempt
+    (1, ((-1, (2, 4)), ((1,),)), ((3,),), "all"),          # an ordinary block exempt
+    (1, ((-1, (2, 4)),), ((1,), (3,)), "all"),             # more exempt blocks than r
+    (1, (((1,), (3,)), (-1, (2, 4))), (), "all"),          # groups out of canonical order
+    (1, GOOD, (), "lah"),                                  # unknown kind
+    (-1, (((1,), (2, 4), (3,)),), (), "all"),              # negative special count
+    (1, ((-1, [2, 4]), ((1,), (3,))), (), "all"),          # a block given as a list
+    (1, ((-1, (2, 4)), ((3,),)), ([1],), "all"),           # an exempt block as a list
+]
+
+
 def test_outer_arrangement_validate_catches_duplicates():
     cfg = next(bj.iter_pairs("I_POS", 2, 1, 1, 0))
     doubled = replace(cfg, outer_blocks=cfg.outer_blocks + cfg.outer_blocks[-1:])
     with pytest.raises(bj.MalformedConfiguration):
         doubled.validate()
-    # at n = 3, r = 1: one special, the distinguished block (1,), and the
-    # two ordinary blocks (2, 4) and (3,), all arranged
-    good = ((-1, (2, 4)), ((1,), (3,)))
     for kind in ("all", "min_first", "increasing"):
-        bj.OuterArrangement(3, 1, 1, good, (), kind).validate()
-    bad = [
-        (1, good + ((),), (), "all"),                          # empty group
-        (1, ((-1, (1,), (2, 4)), ((3,),)), (), "all"),         # two distinguished items together
-        (1, ((-1, (2, 4)), ((3,), (1,))), (), "min_first"),    # cycle not led by its smallest
-        (1, ((-1, (2, 4)), ((3,), (1,))), (), "increasing"),   # increasing group out of order
-        (1, ((-2, (2, 4)), ((1,), (3,))), (), "all"),          # special labels not -1..-1
-        (1, ((-1, (2,)), ((1,), (3,))), (), "all"),            # label 4 in no block
-        (1, good, ((1,),), "all"),                             # a block arranged and exempt
-        (1, ((-1, (2, 4)), ((1,),)), ((3,),), "all"),          # an ordinary block exempt
-        (1, ((-1, (2, 4)),), ((1,), (3,)), "all"),             # more exempt blocks than r
-        (1, (((1,), (3,)), (-1, (2, 4))), (), "all"),          # groups out of canonical order
-        (1, good, (), "lah"),                                  # unknown kind
-        (-1, (((1,), (2, 4), (3,)),), (), "all"),              # negative special count
-        (1, ((-1, [2, 4]), ((1,), (3,))), (), "all"),          # a block given as a list
-        (1, ((-1, (2, 4)), ((3,),)), ([1],), "all"),           # an exempt block as a list
-    ]
-    for specials, groups, exempt, kind in bad:
+        bj.OuterArrangement(3, 1, 1, GOOD, (), kind).validate()
+    for specials, groups, exempt, kind in MALFORMED:
         with pytest.raises(bj.MalformedConfiguration):
             bj.OuterArrangement(3, 1, specials, groups, exempt, kind).validate()
     # at r = 2 the block led by 2 is arranged while the block led by 1 is left out
@@ -1028,3 +1034,145 @@ def test_closed_forms():
     assert bj.closed_form("I_POS", 2, 1, 1, 0) == 4
     assert bj.closed_form("I_NEG", 2, 0, 0, 1) == 2
     assert bj.closed_form("IV", 3, 1, 1, 1) == 36
+
+
+# ----------------------------------------------------------------------
+# reference copies of the move order and the I predicate: every special
+# located by its own scan, the blocks listed before the groups are read
+
+
+def _ref_seg_step(segment):
+    if sum(map(len, segment)) < 2:
+        return None
+    first = segment[0]
+    if len(first) == 1:
+        return ((first[0],) + segment[1],) + segment[2:]
+    return ((first[0],), first[1:]) + segment[1:]
+
+
+def _ref_locate(cfg, label):
+    for gi, group in enumerate(cfg.outer_blocks):
+        for pos, it in enumerate(group):
+            if it == label if isinstance(it, int) else label in it:
+                return gi, pos, it
+    raise bj.MalformedConfiguration(f"label {label} is not arranged")
+
+
+def _ref_step(cfg, group_step, section_step, trade=None):
+    for gi, group in enumerate(cfg.outer_blocks):
+        if cfg.specials and any(isinstance(it, int) for it in group):
+            continue
+        moved = group_step(group)
+        if moved is not None:
+            return bj._with_group(cfg, gi, moved)
+    for i in range(1, cfg.specials + 1):
+        gi, pos, _ = _ref_locate(cfg, -i)
+        group = cfg.outer_blocks[gi]
+        left, right = group[:pos], group[pos + 1:]
+        moved = section_step(left)
+        if moved is not None:
+            return bj._with_group(cfg, gi, moved + (-i,) + right)
+        moved = section_step(right)
+        if moved is not None:
+            return bj._with_group(cfg, gi, left + (-i,) + moved)
+        if trade is not None:
+            moved = trade(cfg, i, gi)
+            if moved is not None:
+                return moved
+    return None
+
+
+def _ref_is_fixed_i(cfg):
+    if cfg.specials == 0:
+        return all(sum(map(len, g)) == 1 for g in cfg.outer_blocks)
+    blocks = [it for g in cfg.outer_blocks for it in g if not isinstance(it, int)]
+    if any(len(b) != 1 for b in blocks + list(cfg.exempt)):
+        return False
+    for group in cfg.outer_blocks:
+        pos = next((i for i, it in enumerate(group) if isinstance(it, int)), None)
+        if pos is None:
+            if len(group) != 1:
+                return False
+        elif pos > 1 or len(group) - pos - 1 > 1:
+            return False
+    return True
+
+
+_REF_STEPS = {"I": lambda cfg: _ref_step(cfg, _ref_seg_step, _ref_seg_step),
+              "II": lambda cfg: _ref_step(cfg, bj._cycle_step, _ref_seg_step, bj._trade_ii),
+              "III": lambda cfg: (_ref_step(cfg, bj._sorted_step, bj._sorted_step)
+                                  or bj._trade_iii(cfg))}
+
+
+def _ref_invol(kind, cfg):
+    moved = _REF_STEPS[kind](cfg)
+    if moved is None:
+        raise bj.FixedPointError("no move applies")
+    return moved
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except Exception as error:  # malformed input may raise anything
+        return type(error), str(error)
+
+
+def _agrees_with_the_reference(kind, cfg):
+    return (_outcome(bj._INVOLUTIONS[kind], cfg) == _outcome(_ref_invol, kind, cfg)
+            and _outcome(bj._is_fixed_i, cfg) == _outcome(_ref_is_fixed_i, cfg))
+
+
+def _malformed_controls():
+    """Every malformed configuration the negative controls above build."""
+    yield from (bj.OuterArrangement(3, 1, *case) for case in MALFORMED)
+    for cid, params, malform in (case[1:] for case in ONE_CLAUSE):
+        kind = cid.split("_")[0]
+        for cfg in bj.iter_pairs(cid, *params):
+            image = cfg if cid == "IV" else _outcome(bj._INVOLUTIONS[kind], cfg)
+            if isinstance(image, bj.OuterArrangement) and (bad := malform(cfg, image)) is not None:
+                yield bad
+    for cfg in bj.iter_pairs("I_POS", 3, 1, 1, 0):
+        *groups, last = cfg.outer_blocks
+        yield _held_twice(cfg)
+        yield _ordinary_exempt(cfg)
+        for junk in ((), ("x",), ([9],)):
+            yield replace(cfg, outer_blocks=(*groups, last[:-1] + (junk,)))
+
+
+def test_moves_and_the_i_predicate_match_the_reference():
+    # the maps' move order is pinned only by trace digests: here every pair
+    # of every involution with n <= 3, r <= 1, s <= 4 gets the reference's
+    # image (or FixedPointError) and I predicate verdict
+    tuples = [(cid, (n, k, r, s)) for cid in bj.CONSTRUCTION_IDS if cid != "IV"
+              for n in range(4) for k in range(n + 1) for r in range(2) for s in range(5)
+              if bj.construction_applies(cid, n, k, r, s)]
+    pairs = 0
+    for cid, params in tuples:
+        kind = cid.split("_")[0]
+        for cfg in bj.iter_pairs(cid, *params):
+            assert _agrees_with_the_reference(kind, cfg), (cid, params, cfg)
+            pairs += 1
+    assert (len(tuples), pairs) == (230, 16038)
+    controls = 0
+    for cfg in _malformed_controls():
+        for kind in bj._INVOLUTIONS:
+            assert _agrees_with_the_reference(kind, cfg), (kind, cfg)
+        controls += 1
+    assert controls == 1254
+
+
+def test_configurations_compare_by_value():
+    # OuterArrangement and LahDistribution are not frozen; equal field values
+    # still make equal objects with equal hashes, and their text is unchanged
+    cfg = next(bj.iter_pairs("II_MID", 2, 1, 1, 2))
+    twin = bj.OuterArrangement(cfg.n, cfg.r, cfg.specials, tuple(map(tuple, cfg.outer_blocks)),
+                               tuple(cfg.exempt), cfg.outer_kind)
+    assert twin is not cfg and twin == cfg and hash(twin) == hash(cfg)
+    assert len({cfg, twin}) == 1 and twin.text() == cfg.text() == "⟨[-1]⟩|⟨(3,1)⟩|⟨(2)⟩"
+    assert replace(cfg, n=3) != cfg
+    dist = cfg.inner
+    again = LahDistribution(dist.n, dist.r, tuple(map(tuple, dist.blocks)))
+    assert again == dist and hash(again) == hash(dist) and len({dist, again}) == 1
+    assert again.text() == dist.text() == "(3,1)|(2)"
