@@ -30,6 +30,10 @@ EXIT_CAP = 3
 #: in useful time (the widest in use is 0..20), and cheap to build at once.
 MAX_SPAN = 1_000
 
+#: Largest triangle row and level ``check`` reads unless ``--cap-override``
+#: raises it: far above every sweep in use (rows to 19, levels to 8).
+CHECK_CAP = 100
+
 
 class Output(NamedTuple):
     """What a command prints.  ``rows`` are objects keyed by ``header``
@@ -126,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated identity ids, or 'all'")
     for flag in ("--n", "--k", "--m", "--r", "--s"):
         p_check.add_argument(flag, type=_parse_span, default=(0,), metavar="LO..HI")
+    p_check.add_argument("--cap-override", type=int, default=None, metavar="N",
+                         help=f"raise the largest row and level read (default {CHECK_CAP})")
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="compare the triangles to brute-force enumeration")
@@ -192,6 +198,11 @@ def cmd_check(args) -> Output:
     ids, unknown = _ids(args.id, identities.IDENTITY_IDS)
     if unknown:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
+    row, level = identities.reach(ids, vars(args))
+    limit = CHECK_CAP if args.cap_override is None else args.cap_override
+    if max(row, level) > limit:
+        return _refuse("check", EXIT_CAP, f"reads row {row} and level {level}, past the cap "
+                       f"{limit}; raise the cap explicitly to proceed")
     reports, skipped = identities.sweep_detailed(
         ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s)
 

@@ -14,14 +14,17 @@ a corrupted cell, say), install it as ``DEFAULT``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from math import prod
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lah_core
 from .lah_core import TriangleStore as Checker
 from .lah_core import binomial, falling_factorial, rising_factorial
-from .poly import A, B, ONE, X, ZERO, Polynomial, range_product, sum_of_products
+from .poly import A, B, ONE, X, ZERO, Polynomial, ab_range_product, range_product, sum_of_products
 
 SLOTS = "nkmrs"
 
@@ -69,6 +72,24 @@ IDENTITIES: dict[str, tuple[str, Callable[..., bool], str]] = {
 
 IDENTITY_IDS = tuple(IDENTITIES)
 
+#: The largest triangle row and level a check reads, from its named slots:
+#: (n, r) unless listed here.  No entry decreases in any slot, so a sweep
+#: reads its largest at the largest value of each range.  INVERSION's s is a
+#: seed, not a level.
+REACH: dict[str, Callable[..., tuple[int, int]]] = {
+    **dict.fromkeys(("SHIFT", "CONVOLUTION", "ROWSUM_SHIFT"), lambda n, r, s, **_: (n, r + s)),
+    **dict.fromkeys(("SPLITTING", "ROWSUM_SPLIT"), lambda n, m, r, **_: (n + m, r)),
+    **dict.fromkeys(("ROWSUM_REC", "MARKED_REC"), lambda n, r: (n + 1, r)),
+    **dict.fromkeys(("RLAH_I", "RLAH_I_NEG", "RLAH_IV"), lambda n, k, r, s: (n, max(r, s))),
+    "RLAH_II": lambda n, k, r, s: (n, max(2 * r, s)),
+    "RLAH_III": lambda n, k, r, s: (n, max(r, 2 * s)),
+}
+
+#: Each identity's report params, picked from its check's arguments with a
+#: None appended: a slot the identity does not take picks that None (index -1).
+_SLOTS_OF = {ident: itemgetter(*(fields.find(slot) for slot in SLOTS))
+             for ident, (fields, _, _) in IDENTITIES.items()}
+
 #: (a, b) instantiations exercised by the sequence-inversion round trip.
 INVERSION_WEIGHTS = ((1, 1), (2, 3), (0, 1))
 
@@ -83,7 +104,7 @@ def format_params(params) -> str:
                     if value is not None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     """Machine-readable verdict for one identity instance."""
 
@@ -98,15 +119,10 @@ class CheckReport:
                 f"{'PASS' if self.passed else 'FAIL'}")
 
 
-def _slots(fields: str, values) -> tuple:
-    named = dict(zip(fields, values))
-    return tuple(named.get(slot) for slot in SLOTS)
-
-
 def _params(identity_id: str, *values: int) -> tuple:
     """The report params of one call, which must meet the identity's precondition."""
-    fields, precondition, _ = IDENTITIES[identity_id]
-    params = _slots(fields, values)
+    precondition = IDENTITIES[identity_id][1]
+    params = _SLOTS_OF[identity_id]((*values, None))
     if not precondition(*values):
         raise InvalidParameters(f"{identity_id} does not apply at {format_params(params)}")
     return params
@@ -136,7 +152,7 @@ def check_vertical(n: int, k: int, r: int) -> CheckReport:
     params = _params("VERTICAL", n, k, r)
     c = lah_core.DEFAULT
     rhs = sum_of_products((1, c.g(i - 1, k - 1, r),
-                           range_product(A * i + B * k + (A + B) * r, A, n - i))
+                           ab_range_product(i + r, k + r, n - i))
                           for i in range(k, n + 1))
     return _report("VERTICAL", params, c.g(n, k, r), rhs)
 
@@ -150,10 +166,10 @@ def check_horizontal(n: int, k: int, r: int) -> CheckReport:
     return _report("HORIZONTAL", params, c.g(n, k, r), rhs)
 
 
-def _binomial_tail(n: int, cell: Callable[[int], Polynomial], base: Polynomial,
+def _binomial_tail(n: int, cell: Callable[[int], Polynomial], p: int, q: int,
                    extra: int = 0) -> Polynomial:
-    """sum_i C(n,i) cell(i) prod_{l<n-i+extra}(base + a*l), skipping zero cells."""
-    return sum_of_products((binomial(n, i), value, range_product(base, A, n - i + extra))
+    """sum_i C(n,i) cell(i) prod_{l<n-i+extra}(a(p+l) + b*q), skipping zero cells."""
+    return sum_of_products((binomial(n, i), value, ab_range_product(p, q, n - i + extra))
                            for i in range(n + 1) if (value := cell(i)))
 
 
@@ -161,7 +177,7 @@ def check_shift(n: int, k: int, r: int, s: int) -> CheckReport:
     """Shift the distinguished count: G(n,k;r+s) as a binomial sum over G(.,k;r)."""
     params = _params("SHIFT", n, k, r, s)
     c = lah_core.DEFAULT
-    rhs = _binomial_tail(n, lambda i: c.g(i, k, r), (A + B) * s)
+    rhs = _binomial_tail(n, lambda i: c.g(i, k, r), s, s)
     return _report("SHIFT", params, c.g(n, k, r + s), rhs)
 
 
@@ -175,12 +191,15 @@ def check_convolution(n: int, k: int, m: int, r: int, s: int) -> CheckReport:
     return _report("CONVOLUTION", params, lhs, rhs)
 
 
-def _split_sum(c: Checker, n: int, m: int, r: int,
+def _split_sum(c: Checker, n: int, m: int, r: int, tail_key: Callable[[int], tuple],
                inner_cell: Callable[[int, int], Polynomial]) -> Polynomial:
     """sum_{i,j} C(n,i) G(m,j;r) inner_cell(i,j) prod_{l<n-i}(a(m+r+l) + b(j+r)),
-    summed over i inside each j: the outer cell does not depend on i."""
+    summed over i inside each j: the outer cell does not depend on i.  That
+    inner sum is fixed by ``tail_key(j)``, m + r and j + r, so the store
+    memoises it under those ints: other (m, r, j) reach the same tail."""
     return sum_of_products(
-        (1, outer, _binomial_tail(n, lambda i: inner_cell(i, j), A * (m + r) + B * (j + r)))
+        (1, outer, c._memo((*tail_key(j), m + r, j + r), lambda: _binomial_tail(
+            n, lambda i: inner_cell(i, j), m + r, j + r)))
         for j in range(m + 1) if (outer := c.g(m, j, r)))
 
 
@@ -188,21 +207,21 @@ def check_splitting(n: int, m: int, k: int, r: int) -> CheckReport:
     """G(n+m,k;r) split by how many of the top n elements join the bottom m+r."""
     params = _params("SPLITTING", n, m, k, r)
     c = lah_core.DEFAULT
-    rhs = _split_sum(c, n, m, r, lambda i, j: c.g(i, k - j, 0))
+    rhs = _split_sum(c, n, m, r, lambda j: ("split", n, k - j), lambda i, j: c.g(i, k - j, 0))
     return _report("SPLITTING", params, c.g(n + m, k, r), rhs)
 
 
 def check_rowsum_shift(n: int, r: int, s: int) -> CheckReport:
     params = _params("ROWSUM_SHIFT", n, r, s)
     c = lah_core.DEFAULT
-    rhs = _binomial_tail(n, lambda i: c.row_sum(i, r), (A + B) * s)
+    rhs = _binomial_tail(n, lambda i: c.row_sum(i, r), s, s)
     return _report("ROWSUM_SHIFT", params, c.row_sum(n, r + s), rhs)
 
 
 def check_rowsum_split(n: int, m: int, r: int) -> CheckReport:
     params = _params("ROWSUM_SPLIT", n, m, r)
     c = lah_core.DEFAULT
-    rhs = _split_sum(c, n, m, r, lambda i, j: c.row_sum(i, 0))
+    rhs = _split_sum(c, n, m, r, lambda j: ("rowsplit", n), lambda i, j: c.row_sum(i, 0))
     return _report("ROWSUM_SPLIT", params, c.row_sum(n + m, r), rhs)
 
 
@@ -211,7 +230,7 @@ def check_rowsum_decomp(n: int, r: int) -> CheckReport:
     ROWSUM_SHIFT's right side at r = 0, s = r."""
     params = _params("ROWSUM_DECOMP", n, r)
     c = lah_core.DEFAULT
-    rhs = _binomial_tail(n, lambda i: c.row_sum(i, 0), (A + B) * r)
+    rhs = _binomial_tail(n, lambda i: c.row_sum(i, 0), r, r)
     return _report("ROWSUM_DECOMP", params, c.row_sum(n, r), rhs)
 
 
@@ -219,9 +238,9 @@ def _row_recurrence(n: int, r: int, row: Callable[[int, int], Polynomial],
                     mark: Polynomial | int) -> Polynomial:
     """Row n+1 by whether the new largest element joins a distinguished block
     (r choices, empty at r = 0) or not (marked by ``mark``)."""
-    rhs = mark * _binomial_tail(n, lambda i: row(i, r), A + B)
+    rhs = mark * _binomial_tail(n, lambda i: row(i, r), 1, 1)
     if r >= 1:
-        rhs = rhs + r * _binomial_tail(n, lambda i: row(i, r - 1), A + B, 1)
+        rhs = rhs + r * _binomial_tail(n, lambda i: row(i, r - 1), 1, 1, 1)
     return rhs
 
 
@@ -354,8 +373,17 @@ def check_inversion(n_max: int, r: int, seed: int) -> CheckReport:
 # sweeping
 
 
-def _order(identity_id: str, params) -> tuple:
-    return (identity_id, tuple(-1 if v is None else v for v in params))
+def reach(ids: Iterable[str], ranges: Mapping[str, Sequence[int]]) -> tuple[int, int]:
+    """The largest row and level a sweep of ``ids`` over ``ranges`` (keyed
+    by slot) reads, found without reading a cell; -1 where it reads none."""
+    row = level = -1
+    for ident in set(ids):
+        spans = {slot: ranges[slot] for slot in IDENTITIES[ident][0]}
+        if all(spans.values()):
+            top = {slot: max(span) for slot, span in spans.items()}
+            top_row, top_level = REACH.get(ident, lambda n, r, **_: (n, r))(**top)
+            row, level = max(row, top_row), max(level, top_level)
+    return row, level
 
 
 def sweep_detailed(ids: Sequence[str], *, n: Iterable[int] = (0,),
@@ -365,23 +393,30 @@ def sweep_detailed(ids: Sequence[str], *, n: Iterable[int] = (0,),
     this process.
 
     Returns (reports, skipped) where skipped lists the precondition-violating
-    tuples as (identity_id, params).  Reports come back in canonical
-    (identity_id, params) order.  Checks read ``lah_core.DEFAULT`` and are
-    looked up by name at call time, and INVERSION's PRNG seed comes from ``s``.
+    tuples as (identity_id, params).  Both come out in canonical
+    (identity_id, params) order as they are made: ids sorted, each range's
+    distinct values walked in order, slot by slot in SLOTS order.  A tuple
+    given more than once (by a repeated id or range value) is checked once
+    and its entry repeated in place.  Checks read ``lah_core.DEFAULT`` and
+    are looked up by name when the sweep starts, and INVERSION's PRNG seed
+    comes from ``s``.
     """
     unknown = [i for i in ids if i not in IDENTITIES]
     if unknown:
         raise InvalidParameters(f"unknown identity ids: {unknown}")
-    ranges = {"n": tuple(n), "k": tuple(k), "m": tuple(m), "r": tuple(r), "s": tuple(s)}
+    # each slot's distinct values in order, with how often each was given
+    spans = {slot: sorted(Counter(span).items()) for slot, span in zip(SLOTS, (n, k, m, r, s))}
     reports: list[CheckReport] = []
     skipped: list[tuple[str, tuple]] = []
-    for ident in ids:
+    for ident in sorted(set(ids)):
         fields, precondition, check = IDENTITIES[ident]
-        for values in product(*(ranges[name] for name in fields)):
+        check, copies = globals()[check], ids.count(ident)
+        values_of = itemgetter(*map(SLOTS.index, fields))
+        for picks in product(*(spans[slot] if slot in fields else [(None, 1)] for slot in SLOTS)):
+            params, repeats = zip(*picks)
+            values, times = values_of(params), copies * prod(repeats)
             if precondition(*values):
-                reports.append(globals()[check](*values))
+                reports += [check(*values)] * times
             else:
-                skipped.append((ident, _slots(fields, values)))
-    reports.sort(key=lambda rep: _order(rep.identity_id, rep.params))
-    skipped.sort(key=lambda item: _order(*item))
+                skipped += [(ident, params)] * times
     return reports, skipped

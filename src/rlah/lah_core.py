@@ -88,8 +88,8 @@ class TriangleStore:
     same offset, and the swapped-weight, t-weighted and negated-t readings
     of the orthogonality checks are derived from the plain cells by
     variable substitution, so a corrupted cell poisons every reading alike.
-    Those derived readings and the row sums are memoised in one map keyed
-    by their kind, which ``corrupt_cell`` clears.
+    Those readings, the row sums and the identities' split tails are memoised
+    in one map keyed by kind and ints (``_memo``), which ``corrupt_cell`` clears.
     """
 
     def __init__(self) -> None:

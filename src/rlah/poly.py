@@ -27,6 +27,10 @@ Monomial = tuple[int, int, int, int]
 
 _CONST: Monomial = (0, 0, 0, 0)
 
+#: One key per distinct monomial, shared by every product: the products a
+#: process keeps (memoised sums, cached tails) hold no copies of it.
+_MONOMIALS: dict[Monomial, Monomial] = {}
+
 
 @lru_cache(maxsize=None)
 def _factor_text(mono: Monomial) -> str:
@@ -272,7 +276,7 @@ def sum_of_products(terms: Iterable[tuple[int, Polynomial, Polynomial]]) -> Poly
                 mono = (a1 + a2, b1 + b2, x1 + x2, t1 + t2)
                 out[mono] = get(mono, 0) + c1 * c2
     result = Polynomial.__new__(Polynomial)
-    result._terms = {m: c for m, c in out.items() if c}
+    result._terms = {_MONOMIALS.setdefault(m, m): c for m, c in out.items() if c}
     return result
 
 
@@ -301,3 +305,9 @@ def range_product(base: Polynomial | int, step: Polynomial | int, count: int) ->
     for i in range(count):
         acc = acc * (base + step * i)
     return acc
+
+
+@lru_cache(maxsize=None)
+def ab_range_product(p: int, q: int, count: int) -> Polynomial:
+    """``prod_{l<count} (a*(p+l) + b*q)``, cached on its ints: a hit hashes no polynomial."""
+    return range_product(A * p + B * q, A, count)

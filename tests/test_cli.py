@@ -171,6 +171,40 @@ def test_oracle_cap_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--id", "connection", "--n", str(cli.CHECK_CAP + 1)),
+    ("check", "--id", "splitting", "--n", "0..60", "--m", "0..41"),
+    ("check", "--id", "shift,inversion", "--n", "1", "--r", "50", "--s", "51"),
+    ("check", "--id", "rlah_ii", "--n", "2", "--r", str(cli.CHECK_CAP // 2 + 1)),
+])
+def test_check_refuses_past_the_cap_before_filling_a_triangle(capsys, monkeypatch, argv):
+    def no_fill(*args):
+        raise AssertionError("a triangle row was filled before the cap refusal")
+
+    monkeypatch.setattr(lah_core, "DEFAULT", lah_core.TriangleStore())
+    monkeypatch.setattr(lah_core.LahTriangle, "_extend", no_fill)
+    assert cli.main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    # an admitted request does fill a row, so the refusal above is not vacuous
+    with pytest.raises(AssertionError, match="filled"):
+        cli.main(["check", "--id", "connection", "--n", "1"])
+
+
+def test_check_cap_override_admits_the_refused_request(capsys):
+    argv = ("check", "--id", "connection", "--n", str(cli.CHECK_CAP + 1))
+    assert run(capsys, *argv, "--cap-override", "5") == (3, "")
+    code, out = run(capsys, *argv, "--cap-override", str(cli.CHECK_CAP + 1))
+    assert (code, out) == (0, f"CONNECTION n={cli.CHECK_CAP + 1} r=0 PASS\n")
+
+
+def test_check_reads_the_inversion_seed_as_no_level(capsys):
+    # the identities benchmark passes seeds past a million
+    code, out = run(capsys, "check", "--id", "inversion", "--n", "10", "--r", "0..3",
+                    "--s", "1000000..1000002")
+    assert code == 0 and out.count("PASS") == 12
+
+
 def test_constructions_refuse_an_outer_side_over_the_cap_before_enumerating(capsys,
                                                                            monkeypatch):
     # n + r = 5 is within the cap, the n + s = 17 outer items are not
@@ -326,7 +360,7 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("table", "--n", "2", "--r", "0", "--jobs", "4", "--cap-override", "1"),
     ("table", "--n", "2", "--r", "0", "--jobs", "4"),
-    ("check", "--id", "connection", "--cap-override", "1"),
+    ("check", "--id", "connection", "--trace"),
     ("check", "--id", "connection", "--jobs", "2"),
     ("oracle", "--n", "1", "--r", "0", "--jobs", "2"),
     ("sequences", "bell", "--n", "3", "--cap-override", "12"),
@@ -372,7 +406,8 @@ FUZZ_FLAGS = {
     "table": {"--n": _value(-2, 4), "--r": _value(-2, 4), "--a": _value(-2, 4),
               "--b": _value(-2, 4)},
     "check": {"--id": st.sampled_from(["all", "connection", "rlah_i,rlah_iv", "nope", ""]),
-              **{flag: _span(4) for flag in ("--n", "--k", "--m", "--r", "--s")}},
+              **{flag: _span(4) for flag in ("--n", "--k", "--m", "--r", "--s")},
+              "--cap-override": _value(-2, 4)},
     "oracle": {"--n": _value(-2, 3), "--r": _value(-2, 2), "--cap-override": _value(-2, 4)},
     "constructions": {"--id": st.sampled_from(["all", "i_pos", "iv", "zzz"]),
                       "--n": _span(3), "--k": _span(4), "--r": _span(2), "--s": _span(2),

@@ -1,6 +1,7 @@
 """Per-identity checks: worked instances, precondition errors, negative controls."""
 
 import inspect
+from itertools import product
 
 import pytest
 
@@ -299,6 +300,43 @@ def test_sweep_skips_and_order():
     assert reports == sorted(reports, key=lambda rep: (rep.identity_id, rep.params))
 
 
+def _sorted_sweep(ids, **ranges):
+    """The sweep as it was before it emitted in order: every tuple of each id
+    in turn, over the ranges as given and in the check's argument order, then
+    one stable sort of the reports and one of the skipped tuples by
+    (id, params), None read as -1."""
+    reports, skipped = [], []
+    for ident in ids:
+        fields, precondition, check = idn.IDENTITIES[ident]
+        for values in product(*(ranges.get(name, (0,)) for name in fields)):
+            named = dict(zip(fields, values))
+            params = tuple(named.get(slot) for slot in idn.SLOTS)
+            if precondition(*values):
+                reports.append(getattr(idn, check)(*values))
+            else:
+                skipped.append((ident, params))
+
+    def order(ident, params):
+        return ident, tuple(-1 if v is None else v for v in params)
+
+    reports.sort(key=lambda rep: order(rep.identity_id, rep.params))
+    skipped.sort(key=lambda item: order(*item))
+    return reports, skipped
+
+
+@pytest.mark.parametrize("ids, ranges", [
+    (["SHIFT", "VERTICAL", "SHIFT"], dict(n=(3, 0, 2, 2), k=(2, 1, 0), r=(1, 0), s=(0, 2, 0))),
+    (list(reversed(idn.IDENTITY_IDS)),
+     dict(n=(4, 1, 3), k=(2, 0, 2), m=(1, 0), r=(2, 0, 1), s=(1, 1, 0))),
+    # SPLITTING takes its slots as (n, m, k, r), not in SLOTS order
+    (["SPLITTING", "ROWSUM_SPLIT", "SPLITTING", "CONVOLUTION"],
+     dict(n=(2, 3, 1), k=(1, 3, 0), m=(2, 0, 1, 2), r=(1, -1, 0), s=(1, 0))),
+    (["INVERSION", "RLAH_II", "INVERSION"], dict(n=(3, 1, 3), r=(1, 0, 2), s=(7, -1, 3))),
+])
+def test_sweep_emits_the_order_of_the_sorted_sweep(ids, ranges):
+    assert idn.sweep_detailed(ids, **ranges) == _sorted_sweep(ids, **ranges)
+
+
 def test_sweep_unknown_id():
     with pytest.raises(idn.InvalidParameters):
         idn.sweep_detailed(["NOPE"])
@@ -384,6 +422,53 @@ def test_corruption_read_only_by_the_inner_sum_fails(monkeypatch):
     checker.corrupt_cell(0, 2, 1)  # G(i, k - j; 0) at i = 2, j = 1, and a cell of row_sum(2, 0)
     assert not idn.check_splitting(2, 1, 2, 1).passed
     assert not idn.check_rowsum_split(2, 1, 1).passed
+
+
+@pytest.mark.parametrize("ident, first, second, key", [
+    # at r >= 1 triangle 0 is read only inside the tails: ``second`` reads
+    # the corrupted cell G(2, 1; 0) only through the tail ``key``, which
+    # ``first`` builds at j = 1
+    ("SPLITTING", dict(n=(2,), m=(1,), k=(2,), r=(1,)), dict(n=(2,), m=(0,), k=(1,), r=(2,)),
+     ("split", 2, 1, 2, 2)),
+    ("ROWSUM_SPLIT", dict(n=(2,), m=(1,), r=(1,)), dict(n=(2,), m=(0,), r=(2,)),
+     ("rowsplit", 2, 2, 2)),
+])
+def test_corruption_reaches_a_memoised_split_tail(monkeypatch, ident, first, second, key):
+    checker = idn.Checker()
+    monkeypatch.setattr(lah_core, "DEFAULT", checker)
+
+    def verdicts(ranges):
+        return [rep.passed for rep in idn.sweep_detailed([ident], **ranges)[0]]
+
+    assert verdicts(first) == verdicts(second) == [True]
+    assert key in checker._derived
+    checker.corrupt_cell(0, 2, 1)
+    assert verdicts(first) == [False]
+    tail = checker._derived[key]
+    assert verdicts(second) == [False]
+    assert checker._derived[key] is tail  # reused, not rebuilt
+
+
+GRID = dict(n=range(4), k=range(4), m=range(3), r=range(3), s=range(3))
+
+
+@pytest.mark.parametrize("ident", idn.IDENTITY_IDS)
+def test_reach_is_the_largest_row_and_level_a_sweep_reads(monkeypatch, ident):
+    checker = idn.Checker()
+    monkeypatch.setattr(lah_core, "DEFAULT", checker)
+    idn.sweep_detailed([ident], **GRID)
+    # a triangle is made when a cell of its level is read, and filled up to
+    # the largest row read in it
+    row = max(tri.max_n for tri in checker._triangles.values())
+    level = max(key if isinstance(key, int) else key[0] for key in checker._triangles)
+    assert idn.reach([ident], GRID) == (row, level)
+
+
+def test_reach_of_a_sweep_reading_nothing():
+    assert idn.reach(["CONNECTION"], dict(GRID, n=())) == (-1, -1)
+    # INVERSION's s is a PRNG seed
+    assert idn.reach(["SHIFT", "INVERSION"], dict(GRID, s=(10 ** 6,))) == (3, 2 + 10 ** 6)
+    assert idn.reach(["INVERSION"], dict(GRID, s=(10 ** 6,))) == (3, 2)
 
 
 def test_report_lines():

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlah.poly import (A, B, ONE, T, VARIABLES, X, ZERO, Polynomial, range_product,
-                       sum_of_products)
+from rlah.poly import (A, B, ONE, T, VARIABLES, X, ZERO, Polynomial, ab_range_product,
+                       range_product, sum_of_products)
 
 monomials = st.tuples(st.integers(0, 3), st.integers(0, 3),
                       st.integers(0, 2), st.integers(0, 2))
@@ -94,6 +94,20 @@ def test_equality_power_and_range_product_refusals():
         A ** -1
     with pytest.raises(ValueError):
         range_product(A, B, -1)
+
+
+def test_ab_range_product_is_the_rising_product_of_its_ints():
+    for p in range(-2, 4):
+        for q in range(-2, 4):
+            expected = ONE
+            for count in range(5):
+                assert ab_range_product(p, q, count) == expected
+                expected = expected * (A * (p + count) + B * q)
+
+
+def test_products_share_one_key_per_monomial():
+    first, second = (A + B) * X, sum_of_products([(2, X, B), (1, A, X)])
+    assert list(map(id, sorted(first.terms()))) == list(map(id, sorted(second.terms())))
 
 
 def test_range_product_examples():
