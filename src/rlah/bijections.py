@@ -43,8 +43,9 @@ special items as ``[-i]``, with exempt blocks after a double bar, e.g.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
 
 from . import identities
 from .distributions import (MODES, LahDistribution, check_cap, enumerate_distributions,
@@ -180,23 +181,17 @@ CONSTRUCTION_IDS = tuple(_CONSTRUCTIONS)
 _WEIGHT_MODES = {(1, 1): "all", (1, 0): "min_first", (0, 1): "increasing"}
 
 
-class _Family(NamedTuple):
+class _Family(namedtuple("_Family", "n k r s inner_mode outer_mode sign closed specials low")):
     """The signed pairs of one construction: the term product of its
     identity.  The outer arrangement's s distinguished items are the
     specials and the inner blocks led by 1..low; the distinguished blocks
     led by low+1..r are left out of it.  The involutions arrange min(r, s)
-    distinguished blocks, the bijection IV none."""
+    distinguished blocks, the bijection IV none.
 
-    n: int
-    k: int | None  # None: any number of outer groups
-    r: int
-    s: int
-    inner_mode: str
-    outer_mode: str
-    sign: Callable[[int, int, int], int]
-    closed: Callable[..., int]
-    specials: int
-    low: int
+    ``k`` is None for any number of outer groups; ``sign`` and ``closed``
+    are the identity's (see ``identities.ALTERNATING``)."""
+
+    __slots__ = ()
 
     def items(self, inner: LahDistribution) -> tuple:
         """The outer items in rank order: the specials, then the kept blocks

@@ -5,20 +5,23 @@ Exit codes are a stable contract for CI: 0 all-pass, 1 verification
 failure, 2 usage error, 3 enumeration cap exceeded.  Caps are checked
 before any enumeration starts, and a command that exits 2 or 3 prints
 nothing to stdout.
+
+Each command loads only the modules it runs: ``table`` and ``sequences``
+read the triangles of :mod:`rlah.lah_core`, and the other handlers import
+the identities, the enumeration oracle or the constructions when they
+are entered.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections import namedtuple
 from itertools import chain, product
-from typing import Iterable, NamedTuple
+from math import prod
 
-from . import bijections, identities
-from .distributions import DEFAULT_CAP, SizeLimitError, check_cap, oracle_row
-from .lah_core import binomial, g_eval, g_poly
+from .lah_core import DEFAULT_CAP, binomial, g_eval, g_poly
 from .poly import ZERO
 
 EXIT_OK = 0
@@ -34,18 +37,21 @@ MAX_SPAN = 1_000
 #: raises it: far above every sweep in use (rows to 19, levels to 8).
 CHECK_CAP = 100
 
+#: Most (identity, params) tuples one ``check`` request may name, run or
+#: skipped, since each prints a line: far above every sweep in use (the
+#: widest names 80,250).  No flag moves it.
+CHECK_TUPLES = 1_000_000
 
-class Output(NamedTuple):
-    """What a command prints.  ``rows`` are objects keyed by ``header``
-    (csv writes the header's columns, json the whole objects) unless a
-    ``payload`` gives the json document; ``lines`` are the text format.
-    Rows and lines may be lazy: only the chosen format is ever built."""
 
-    code: int
-    header: tuple[str, ...] = ()
-    rows: Iterable[dict] = ()
-    lines: Iterable[str] = ()
-    payload: object = None
+class Output(namedtuple("Output", "code header rows lines payload",
+                        defaults=((), (), (), None))):
+    """What a command prints: its exit ``code``, and a tuple of column
+    names ``header``.  ``rows`` are dicts keyed by ``header`` (csv writes
+    the header's columns, json the whole objects) unless a ``payload``
+    gives the json document; ``lines`` are the text format's strs.  Rows
+    and lines may be lazy: only the chosen format is ever built."""
+
+    __slots__ = ()
 
 
 def _csv_field(value) -> str:
@@ -72,14 +78,17 @@ def _emit(fmt: str, out: Output) -> None:
     took 0.75 s where the join takes 0.03 s (CPython 3.11, one Xeon core).
     json rows stream, row by row, as the bytes of one ``json.dumps`` of their list."""
     write = sys.stdout.write
-    # sort_keys plus default separators keep load/dump round trips byte-identical
-    if fmt == "json" and out.payload is None:
+    if fmt == "json":
+        import json  # only json output loads the module
+
+        # sort_keys plus default separators keep load/dump round trips byte-identical
+        if out.payload is not None:
+            print(json.dumps(out.payload, sort_keys=True))
+            return
         write("[")
         for i, row in enumerate(out.rows):
             write((", " if i else "") + json.dumps(row, sort_keys=True))
         write("]\n")
-    elif fmt == "json":
-        print(json.dumps(out.payload, sort_keys=True))
     elif fmt == "csv":
         write(",".join(map(_csv_field, out.header)) + "\n")
         for row in out.rows:
@@ -195,10 +204,18 @@ def _ids(text: str, known: tuple[str, ...]) -> tuple[list[str], list[str]]:
 
 
 def cmd_check(args) -> Output:
+    from . import identities
+
     ids, unknown = _ids(args.id, identities.IDENTITY_IDS)
     if unknown:
         return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
-    row, level = identities.reach(ids, vars(args))
+    spans = vars(args)
+    tuples = sum(prod(len(spans[slot]) for slot in identities.IDENTITIES[ident][0])
+                 for ident in ids)
+    if tuples > CHECK_TUPLES:
+        return _refuse("check", EXIT_CAP, f"names {tuples} tuples, past the limit "
+                       f"{CHECK_TUPLES}; narrow the ranges")
+    row, level = identities.reach(ids, spans)
     limit = CHECK_CAP if args.cap_override is None else args.cap_override
     if max(row, level) > limit:
         return _refuse("check", EXIT_CAP, f"reads row {row} and level {level}, past the cap "
@@ -234,6 +251,8 @@ def cmd_check(args) -> Output:
 
 
 def cmd_oracle(args) -> Output:
+    from .distributions import SizeLimitError, check_cap, oracle_row
+
     if args.n < 0 or args.r < 0:
         return _refuse("oracle", EXIT_USAGE, "need --n and --r nonnegative")
     try:
@@ -266,6 +285,9 @@ def cmd_oracle(args) -> Output:
 
 
 def cmd_constructions(args) -> Output:
+    from . import bijections
+    from .distributions import SizeLimitError, check_cap
+
     ids, unknown = _ids(args.id, bijections.CONSTRUCTION_IDS)
     if unknown:
         return _refuse("constructions", EXIT_USAGE, f"unknown id(s) {unknown}")

@@ -33,17 +33,14 @@ validator and family-membership test calls it.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
 
+from .lah_core import DEFAULT_CAP
 from .poly import ZERO, Polynomial
 
 MODES = ("all", "min_first", "increasing")
-
-#: Largest n+r that enumeration accepts by default; beyond this the object
-#: counts explode (the row total at n+r = 9 is already in the millions).
-DEFAULT_CAP = 9
 
 
 class SizeLimitError(RuntimeError):

@@ -13,13 +13,12 @@ a corrupted cell, say), install it as ``DEFAULT``.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lah_core
 from .lah_core import TriangleStore as Checker
@@ -191,23 +190,29 @@ def check_convolution(n: int, k: int, m: int, r: int, s: int) -> CheckReport:
     return _report("CONVOLUTION", params, lhs, rhs)
 
 
-def _split_sum(c: Checker, n: int, m: int, r: int, tail_key: Callable[[int], tuple],
+def _split_sum(c: Checker, n: int, m: int, r: int, js: range,
+               tail_key: Callable[[int], tuple],
                inner_cell: Callable[[int, int], Polynomial]) -> Polynomial:
     """sum_{i,j} C(n,i) G(m,j;r) inner_cell(i,j) prod_{l<n-i}(a(m+r+l) + b(j+r)),
-    summed over i inside each j: the outer cell does not depend on i.  That
-    inner sum is fixed by ``tail_key(j)``, m + r and j + r, so the store
-    memoises it under those ints: other (m, r, j) reach the same tail."""
+    over the j in ``js`` (0..m, or the part of it where some inner cell can
+    be nonzero), summed over i inside each j: the outer cell does not depend
+    on i.  That inner sum is fixed by ``tail_key(j)``, m + r and j + r, so
+    the store memoises it under those ints: other (m, r, j) reach the same tail."""
     return sum_of_products(
         (1, outer, c._memo((*tail_key(j), m + r, j + r), lambda: _binomial_tail(
             n, lambda i: inner_cell(i, j), m + r, j + r)))
-        for j in range(m + 1) if (outer := c.g(m, j, r)))
+        for j in js if (outer := c.g(m, j, r)))
 
 
 def check_splitting(n: int, m: int, k: int, r: int) -> CheckReport:
     """G(n+m,k;r) split by how many of the top n elements join the bottom m+r."""
     params = _params("SPLITTING", n, m, k, r)
     c = lah_core.DEFAULT
-    rhs = _split_sum(c, n, m, r, lambda j: ("split", n, k - j), lambda i, j: c.g(i, k - j, 0))
+    # G(i, k-j; 0) is zero unless 0 <= k-j <= i <= n, except where a corrupted
+    # cell lies outside the triangle
+    js = range(m + 1) if c._offsets else range(max(0, k - n), min(m, k) + 1)
+    rhs = _split_sum(c, n, m, r, js, lambda j: ("split", n, k - j),
+                     lambda i, j: c.g(i, k - j, 0))
     return _report("SPLITTING", params, c.g(n + m, k, r), rhs)
 
 
@@ -221,7 +226,8 @@ def check_rowsum_shift(n: int, r: int, s: int) -> CheckReport:
 def check_rowsum_split(n: int, m: int, r: int) -> CheckReport:
     params = _params("ROWSUM_SPLIT", n, m, r)
     c = lah_core.DEFAULT
-    rhs = _split_sum(c, n, m, r, lambda j: ("rowsplit", n), lambda i, j: c.row_sum(i, 0))
+    rhs = _split_sum(c, n, m, r, range(m + 1), lambda j: ("rowsplit", n),
+                     lambda i, j: c.row_sum(i, 0))
     return _report("ROWSUM_SPLIT", params, c.row_sum(n + m, r), rhs)
 
 
@@ -347,6 +353,8 @@ def check_inversion(n_max: int, r: int, seed: int) -> CheckReport:
     failure reports the sequence and the round trip at the first index
     where they differ.
     """
+    import random  # only this check draws numbers, so only it loads the module
+
     params = _params("INVERSION", n_max, r, seed)
     c = lah_core.DEFAULT
     rng = random.Random(seed)

@@ -22,10 +22,15 @@ integer triangle directly.  The module-level ``DEFAULT`` store holds them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb
-from typing import Callable
 
 from .poly import ONE, T, X, ZERO, Polynomial, range_product, sum_of_products
+
+#: Largest n+r that enumeration accepts by default; beyond this the object
+#: counts explode (the row total at n+r = 9 is already in the millions).
+#: Defined here, in a module every command loads, for the CLI's help text.
+DEFAULT_CAP = 9
 
 
 class LahTriangle:

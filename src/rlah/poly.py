@@ -18,8 +18,8 @@ the CLI and the golden tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 VARIABLES = ("a", "b", "x", "t")
 

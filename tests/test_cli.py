@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,35 @@ def test_check_refuses_past_the_cap_before_filling_a_triangle(capsys, monkeypatc
     # an admitted request does fill a row, so the refusal above is not vacuous
     with pytest.raises(AssertionError, match="filled"):
         cli.main(["check", "--id", "connection", "--n", "1"])
+
+
+def test_check_refuses_too_many_tuples_before_reading_a_cell(capsys, monkeypatch):
+    # 41**5 tuples of CONVOLUTION, each within the row and level cap
+    def no_fill(*args):
+        raise AssertionError("a triangle row was filled before the refusal")
+
+    sweeps = []
+    monkeypatch.setattr(identities, "sweep_detailed", lambda *a, **kw: sweeps.append(a))
+    monkeypatch.setattr(lah_core, "DEFAULT", lah_core.TriangleStore())
+    monkeypatch.setattr(lah_core.LahTriangle, "_extend", no_fill)
+    argv = ["check", "--id", "convolution"] + [
+        part for flag in ("--n", "--k", "--m", "--r", "--s") for part in (flag, "0..40")]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "check: names 115856201 tuples, past the limit 1000000; narrow the ranges"]
+    assert sweeps == []
+
+
+def test_check_counts_run_and_skipped_tuples_against_the_limit(capsys, monkeypatch):
+    # VERTICAL over n, k in 0..2 and r in 0..1, asked twice: 36 tuples, of
+    # which 24 are skipped (k = 0 or k > n)
+    argv = ("check", "--id", "vertical,vertical", "--n", "0..2", "--k", "0..2", "--r", "0..1")
+    monkeypatch.setattr(cli, "CHECK_TUPLES", 35)
+    assert run(capsys, *argv) == (3, "")
+    monkeypatch.setattr(cli, "CHECK_TUPLES", 36)
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 36 and out.count("SKIP") == 24
 
 
 def test_check_cap_override_admits_the_refused_request(capsys):
@@ -579,6 +609,68 @@ def test_cli_import_starts_no_process_machinery():
     assert "rlah.cli" in loaded
     assert not [name for name in loaded
                 if name.split(".")[0] in ("concurrent", "multiprocessing", "pickle")]
+
+
+#: Modules the CLI loads only in the handlers that run them: the identity
+#: sweep, the oracle and the constructions (and, through their dataclasses,
+#: ``dataclasses``), json output, INVERSION's PRNG; and no runtime typing.
+DEFERRED = ("dataclasses", "typing", "json", "random", "rlah.distributions",
+            "rlah.identities", "rlah.bijections")
+
+#: (argv, modules it must load, modules it must not load) beyond a bare
+#: start; an empty argv is ``import rlah.cli`` alone.
+LOADS = [
+    ((), ("rlah.cli", "rlah.lah_core"), DEFERRED),
+    (("table", "--n", "2", "--r", "0"), (), DEFERRED),
+    (("sequences", "bell", "--n", "3"), (), DEFERRED),
+    (("check", "--id", "connection", "--n", "1"), ("rlah.identities", "dataclasses"),
+     ("typing", "json", "random", "rlah.distributions", "rlah.bijections")),
+    (("check", "--id", "inversion", "--n", "1", "--format", "json"), ("random", "json"),
+     ("typing", "rlah.distributions", "rlah.bijections")),
+    (("oracle", "--n", "1", "--r", "0"), ("rlah.distributions", "dataclasses"),
+     ("typing", "json", "random", "rlah.identities", "rlah.bijections")),
+    (("constructions", "--id", "iv", "--n", "1", "--k", "1"), ("rlah.bijections",),
+     ("typing", "json", "random")),
+]
+
+# With -I -S no site hook preloads typing or random, so every name in
+# DEFERRED is absent from the bare start and shows up if loaded.
+_LOADED = """
+import sys
+bare = set(sys.modules)
+sys.path.insert(0, {src!r})
+import rlah.cli
+code = rlah.cli.main({argv!r}) if {argv!r} else 0
+print(*sorted(set(sys.modules) - bare), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,loads,defers", LOADS)
+def test_each_command_loads_only_what_it_runs(argv, loads, defers):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c",
+                           _LOADED.format(src=src, argv=list(argv))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.split()
+    assert [name for name in loads if name not in loaded] == []
+    assert [name for name in defers if name in loaded] == []
+
+
+def test_package_names_resolve_on_first_access():
+    import rlah
+
+    names = set(dir(rlah))
+    for name in rlah.__all__:
+        assert name in names
+        assert getattr(rlah, name) is vars(rlah)[name] is not None
+    assert rlah.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        rlah.not_a_name
+    star = {}
+    exec("from rlah import *", star)
+    assert set(rlah.__all__) <= set(star)
 
 
 def test_csv_quotes_as_the_csv_module_does(capsys):

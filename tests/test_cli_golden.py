@@ -240,6 +240,19 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
+#: ``--help`` of the program and of each subcommand, recorded at an
+#: 80-column width before the modules they name were loaded lazily.  The
+#: oracle and constructions help texts print the enumeration cap's default.
+HELP = [
+    ("--help", 0, "057225e81704beaf32650e696f6e58e9596e5653e7eb7b3a7a2fa45e278e8f37"),
+    ("table --help", 0, "3ae2c67632a35886288a0d3590d768867d961d508752cbe7e6d43c8bb8097234"),
+    ("check --help", 0, "79ad8432c520dedea4690345ce89150957f8192b6b82dddc70b929a65d129ad3"),
+    ("oracle --help", 0, "ff048f80abfeb302dbb03229f8a4b6c771322c024cc5fa424473514b38e92bd8"),
+    ("constructions --help", 0,
+     "95213b2c098acae87e311086b77b474333195d9ddf40df75a4056cdc89e7afdb"),
+    ("sequences --help", 0, "9662b51b0cfe3f0b2e06267ea36089ba606ffbaa1749b9318bd156f5eff26576"),
+]
+
 POISONED = [
     ("check --id connection --n 3 --r 1", 1,
      "a1803311e7a3078d619836a0daa2c61cab114ac51a5443dca8eeb3c9930f435f"),
@@ -263,6 +276,13 @@ def run(capsys, command):
 
 @pytest.mark.parametrize("command,code,digest", GOLDEN)
 def test_golden(capsys, command, code, digest):
+    assert run(capsys, command) == (code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", HELP)
+def test_golden_help(capsys, monkeypatch, command, code, digest):
+    # argparse wraps its help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, command) == (code, digest)
 
 

@@ -141,6 +141,20 @@ def test_split_sums_match_the_double_loop(monkeypatch, poisoned):
     assert bool(failed) == poisoned
 
 
+def test_splitting_computes_no_tail_outside_the_triangle(monkeypatch):
+    # on a store with no corrupted cell, SPLITTING walks only the j for which
+    # some inner cell G(i, k - j; 0), 0 <= i <= n, can be nonzero
+    c = idn.Checker()
+    monkeypatch.setattr(lah_core, "DEFAULT", c)
+    for n in range(6):
+        for m in range(4):
+            for k in range(n + m + 2):
+                for r in range(3):
+                    assert idn.check_splitting(n, m, k, r).passed
+    tails = [key for key in c._derived if key[0] == "split"]
+    assert tails and all(0 <= inner_k <= n for _, n, inner_k, *_ in tails)
+
+
 def test_rowsum_shift_refines_the_known_relation():
     # at a=0, b=1, s=1: B(n, r+1) = sum_i C(n,i) B(i, r)
     for n in range(6):
