@@ -2,9 +2,13 @@
 construction verification, and integer-sequence cross-checks.
 
 Exit codes are a stable contract for CI: 0 all-pass, 1 verification
-failure, 2 usage error, 3 enumeration cap exceeded.  Caps are checked
-before any enumeration starts, and a command that exits 2 or 3 prints
-nothing to stdout.
+failure, 2 usage error, 3 enumeration cap exceeded.  A request exits 2
+or 3 before any work starts (caps included), printing nothing to stdout.
+Otherwise each line or row prints as it is made, and the code is read
+after the last; if the reader closes stdout early, the rest is made and
+sent to ``os.devnull``.  An exception raised mid-output propagates out of
+``main``: what was printed stays, and the interpreter exits nonzero with a
+traceback.
 
 Each command loads only the modules it runs: ``table`` and ``sequences``
 read the triangles of :mod:`rlah.lah_core`, and the other handlers import
@@ -45,11 +49,12 @@ CHECK_TUPLES = 1_000_000
 
 class Output(namedtuple("Output", "code header rows lines payload",
                         defaults=((), (), (), None))):
-    """What a command prints: its exit ``code``, and a tuple of column
-    names ``header``.  ``rows`` are dicts keyed by ``header`` (csv writes
-    the header's columns, json the whole objects) unless a ``payload``
-    gives the json document; ``lines`` are the text format's strs.  Rows
-    and lines may be lazy: only the chosen format is ever built."""
+    """What a command prints: ``code``, a function giving the exit code once
+    the output is emitted, and a tuple of column names ``header``.  ``rows``
+    are dicts keyed by ``header`` (csv writes the header's columns, json the
+    whole objects) unless a ``payload`` gives the json document; ``lines``
+    are the text format's strs.  Rows and lines may be lazy, made as they
+    print: only the chosen format is ever built."""
 
     __slots__ = ()
 
@@ -95,12 +100,20 @@ def _emit(fmt: str, out: Output) -> None:
             write(",".join([_csv_field(row.get(key)) for key in out.header]) + "\n")
     else:
         for line in out.lines:
-            print(line)
+            write(line + "\n")  # one write per line, where print makes two
 
 
-def _refuse(command: str, code: int, message) -> Output:
+def _refuse(command: str, code: int, message) -> SystemExit:
     print(f"{command}: {message}", file=sys.stderr)
-    return Output(code)
+    return SystemExit(code)
+
+
+def _verdict(reports):
+    """``reports`` passed through as they are made, and a function giving
+    the exit code of those made so far: EXIT_FAIL once one has failed."""
+    seen = set()  # the ``passed`` values met so far
+    return ((seen.add(rep.passed) or rep) for rep in reports), \
+        lambda: EXIT_FAIL if False in seen else EXIT_OK
 
 
 def _parse_span(text: str) -> tuple[int, ...]:
@@ -174,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_table(args) -> Output:
     if args.n < 0 or args.r < 0:
-        return _refuse("table", EXIT_USAGE, "need --n and --r nonnegative")
+        raise _refuse("table", EXIT_USAGE, "need --n and --r nonnegative")
     bindings = {name: value for name, value in (("a", args.a), ("b", args.b))
                 if value is not None}
     numeric = len(bindings) == 2
@@ -189,7 +202,7 @@ def cmd_table(args) -> Output:
             for n in range(args.n + 1) for k, value in enumerate(row(n)))
     separator = " " if numeric else " | "
     lines = (separator.join(str(value) for value in row(n)) for n in range(args.n + 1))
-    return Output(EXIT_OK, ("n", "k", "value"), rows, lines)
+    return Output(lambda: EXIT_OK, ("n", "k", "value"), rows, lines)
 
 
 # ----------------------------------------------------------------------
@@ -208,20 +221,21 @@ def cmd_check(args) -> Output:
 
     ids, unknown = _ids(args.id, identities.IDENTITY_IDS)
     if unknown:
-        return _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
+        raise _refuse("check", EXIT_USAGE, f"unknown identity id in {args.id!r}")
     spans = vars(args)
     tuples = sum(prod(len(spans[slot]) for slot in identities.IDENTITIES[ident][0])
                  for ident in ids)
     if tuples > CHECK_TUPLES:
-        return _refuse("check", EXIT_CAP, f"names {tuples} tuples, past the limit "
-                       f"{CHECK_TUPLES}; narrow the ranges")
+        raise _refuse("check", EXIT_CAP, f"names {tuples} tuples, past the limit "
+                      f"{CHECK_TUPLES}; narrow the ranges")
     row, level = identities.reach(ids, spans)
     limit = CHECK_CAP if args.cap_override is None else args.cap_override
     if max(row, level) > limit:
-        return _refuse("check", EXIT_CAP, f"reads row {row} and level {level}, past the cap "
-                       f"{limit}; raise the cap explicitly to proceed")
-    reports, skipped = identities.sweep_detailed(
-        ids, n=args.n, k=args.k, m=args.m, r=args.r, s=args.s)
+        raise _refuse("check", EXIT_CAP, f"reads row {row} and level {level}, past the cap "
+                      f"{limit}; raise the cap explicitly to proceed")
+    ranges = {slot: spans[slot] for slot in identities.SLOTS}
+    # skipped tuples print after every report, from a walk testing preconditions only
+    reports, code = _verdict(identities.sweep(ids, **ranges))
 
     def rows():
         for rep in reports:
@@ -230,7 +244,7 @@ def cmd_check(args) -> Output:
             if not rep.passed:
                 row.update(lhs=str(rep.lhs), rhs=str(rep.rhs))
             yield row
-        for ident, params in skipped:
+        for ident, params in identities.sweep(ids, **ranges, skipped=True):
             yield {"identity": ident, **dict(zip(identities.SLOTS, params)), "status": "SKIP"}
 
     def lines():
@@ -239,10 +253,9 @@ def cmd_check(args) -> Output:
             if not rep.passed:
                 yield f"  lhs: {rep.lhs}"
                 yield f"  rhs: {rep.rhs}"
-        for ident, params in skipped:
+        for ident, params in identities.sweep(ids, **ranges, skipped=True):
             yield f"{ident} {identities.format_params(params)} SKIP"
 
-    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_FAIL
     return Output(code, ("identity", *identities.SLOTS, "status"), rows(), lines())
 
 
@@ -254,11 +267,11 @@ def cmd_oracle(args) -> Output:
     from .distributions import SizeLimitError, check_cap, oracle_row
 
     if args.n < 0 or args.r < 0:
-        return _refuse("oracle", EXIT_USAGE, "need --n and --r nonnegative")
+        raise _refuse("oracle", EXIT_USAGE, "need --n and --r nonnegative")
     try:
         check_cap(args.n, args.r, args.cap_override)
     except SizeLimitError as exc:
-        return _refuse("oracle", EXIT_CAP, exc)
+        raise _refuse("oracle", EXIT_CAP, exc)
     cells = 0
     mismatches = []
     for r in range(args.r + 1):
@@ -273,7 +286,7 @@ def cmd_oracle(args) -> Output:
     status = "PASS" if not mismatches else "FAIL"
     lines = chain((f"MISMATCH n={n} k={k} r={r} oracle={expected} triangle={actual}"
                    for n, k, r, expected, actual in mismatches), [f"cells={cells} {status}"])
-    return Output(EXIT_OK if not mismatches else EXIT_FAIL,
+    return Output(lambda: EXIT_FAIL if mismatches else EXIT_OK,
                   ("cells", "mismatches", "status"),
                   [{"cells": cells, "mismatches": len(mismatches), "status": status}], lines,
                   {"cells": cells, "mismatches": [list(m) for m in mismatches],
@@ -290,7 +303,7 @@ def cmd_constructions(args) -> Output:
 
     ids, unknown = _ids(args.id, bijections.CONSTRUCTION_IDS)
     if unknown:
-        return _refuse("constructions", EXIT_USAGE, f"unknown id(s) {unknown}")
+        raise _refuse("constructions", EXIT_USAGE, f"unknown id(s) {unknown}")
     selected = []
     try:
         for cid in ids:
@@ -299,9 +312,9 @@ def cmd_constructions(args) -> Output:
                     check_cap(n, r, args.cap_override, s)
                     selected.append((cid, n, k, r, s))
     except SizeLimitError as exc:
-        return _refuse("constructions", EXIT_CAP, exc)
-    reports = [bijections.verify_construction(*task, cap=args.cap_override)
-               for task in selected]
+        raise _refuse("constructions", EXIT_CAP, exc)
+    reports, code = _verdict(bijections.verify_construction(*task, cap=args.cap_override)
+                             for task in selected)
     header = ("construction", "n", "k", "r", "s", "pairs", "fixed", "signed", "target",
               "status")
     rows = (dict(zip(header, (rep.construction_id, *rep.params, rep.total_pairs,
@@ -309,7 +322,7 @@ def cmd_constructions(args) -> Output:
                               "PASS" if rep.passed else "FAIL")))
             for rep in reports)
 
-    def lines():
+    def lines():  # each tuple is verified just before its trace and its report line
         for task, rep in zip(selected, reports):
             if args.trace:  # a second pass over the family, rendered as it goes
                 for before, after in bijections.trace_construction(
@@ -317,7 +330,6 @@ def cmd_constructions(args) -> Output:
                     yield f"  {before.text()}  ->  {after.text()}"
             yield rep.line()
 
-    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_FAIL
     return Output(code, header, rows, lines())
 
 
@@ -348,16 +360,16 @@ def _reference(which: str, n_max: int, r: int) -> list[int]:
 
 def cmd_sequences(args) -> Output:
     if args.n < 0 or args.n > 12:
-        return _refuse("sequences", EXIT_USAGE, "--n must be between 0 and 12")
+        raise _refuse("sequences", EXIT_USAGE, "--n must be between 0 and 12")
     if args.r < 0:
-        return _refuse("sequences", EXIT_USAGE, "--r must be nonnegative")
+        raise _refuse("sequences", EXIT_USAGE, "--r must be nonnegative")
     if args.r and args.which != "r_bell":
-        return _refuse("sequences", EXIT_USAGE, f"--r is only read by r_bell, not {args.which}")
+        raise _refuse("sequences", EXIT_USAGE, f"--r is only read by r_bell, not {args.which}")
     a_val = 1 if args.which == "a000262" else 0
     values = [sum(g_eval(n, k, args.r, a_val, 1) for k in range(n + 1))
               for n in range(args.n + 1)]
     status = "PASS" if values == _reference(args.which, args.n, args.r) else "FAIL"
-    return Output(EXIT_OK if status == "PASS" else EXIT_FAIL, ("n", "value"),
+    return Output(lambda: EXIT_OK if status == "PASS" else EXIT_FAIL, ("n", "value"),
                   ({"n": n, "value": value} for n, value in enumerate(values)),
                   chain((f"{n} {value}" for n, value in enumerate(values)), [status]),
                   {"status": status, "values": values, "which": args.which})
@@ -376,20 +388,20 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # exact values may run past CPython's default 4,300-digit int/str limit
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        out = _HANDLERS[args.command](args)  # a refusal raises before any work
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    out = _HANDLERS[args.command](args)
-    if out.code <= EXIT_FAIL:
-        try:
-            _emit(args.format, out)
-        except BrokenPipeError:
-            # the reader closed stdout early: send what is left, and the
-            # interpreter's final flush, nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return out.code
+    try:
+        _emit(args.format, out)
+        sys.stdout.flush()  # a reader that closes after the last write is met here
+    except BrokenPipeError:
+        # the reader closed stdout early: make the rest, for the verdict, and
+        # send it and the interpreter's final flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _emit(args.format, out)
+    return out.code()
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Every check expands both sides of one identity instance as canonical
 polynomials (or exact integers) and compares them structurally; there is
 no tolerance anywhere.  Checks raise :class:`InvalidParameters` when a
-stated precondition fails, and :func:`sweep_detailed` skips such tuples;
+stated precondition fails, and :func:`sweep` skips such tuples;
 both read the precondition from the one ``IDENTITIES`` table.
 
 Every check reads its cells from ``lah_core.DEFAULT``, the one triangle
@@ -14,9 +14,9 @@ a corrupted cell, say), install it as ``DEFAULT``.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from operator import itemgetter
 
@@ -394,37 +394,40 @@ def reach(ids: Iterable[str], ranges: Mapping[str, Sequence[int]]) -> tuple[int,
     return row, level
 
 
-def sweep_detailed(ids: Sequence[str], *, n: Iterable[int] = (0,),
-                   k: Iterable[int] = (0,), m: Iterable[int] = (0,),
-                   r: Iterable[int] = (0,), s: Iterable[int] = (0,)):
+def sweep(ids: Sequence[str], *, n: Iterable[int] = (0,), k: Iterable[int] = (0,),
+          m: Iterable[int] = (0,), r: Iterable[int] = (0,), s: Iterable[int] = (0,),
+          skipped: bool = False) -> Iterator:
     """Run the selected checks over Cartesian ranges, one after another in
-    this process.
-
-    Returns (reports, skipped) where skipped lists the precondition-violating
-    tuples as (identity_id, params).  Both come out in canonical
-    (identity_id, params) order as they are made: ids sorted, each range's
-    distinct values walked in order, slot by slot in SLOTS order.  A tuple
-    given more than once (by a repeated id or range value) is checked once
-    and its entry repeated in place.  Checks read ``lah_core.DEFAULT`` and
-    are looked up by name when the sweep starts, and INVERSION's PRNG seed
-    comes from ``s``.
-    """
+    this process, and yield each report as it is made; with ``skipped``,
+    yield instead the precondition-violating tuples as (identity_id,
+    params), running no check.  Both come out in canonical (identity_id,
+    params) order: ids sorted, each range's distinct values walked in
+    order, slot by slot in SLOTS order.  A tuple given more than once (by a
+    repeated id or range value) is checked once and its entry repeated in
+    place.  Checks read ``lah_core.DEFAULT`` and are looked up by name when
+    the walk starts, and INVERSION's PRNG seed comes from ``s``."""
     unknown = [i for i in ids if i not in IDENTITIES]
     if unknown:
         raise InvalidParameters(f"unknown identity ids: {unknown}")
-    # each slot's distinct values in order, with how often each was given
-    spans = {slot: sorted(Counter(span).items()) for slot, span in zip(SLOTS, (n, k, m, r, s))}
-    reports: list[CheckReport] = []
-    skipped: list[tuple[str, tuple]] = []
+    # each slot's distinct values in order, each mapped to how often it was given
+    spans = {slot: dict(sorted(Counter(span).items()))
+             for slot, span in zip(SLOTS, (n, k, m, r, s))}
     for ident in sorted(set(ids)):
         fields, precondition, check = IDENTITIES[ident]
         check, copies = globals()[check], ids.count(ident)
         values_of = itemgetter(*map(SLOTS.index, fields))
-        for picks in product(*(spans[slot] if slot in fields else [(None, 1)] for slot in SLOTS)):
-            params, repeats = zip(*picks)
-            values, times = values_of(params), copies * prod(repeats)
-            if precondition(*values):
-                reports += [check(*values)] * times
-            else:
-                skipped += [(ident, params)] * times
-    return reports, skipped
+        given = [spans[slot] if slot in fields else {None: 1} for slot in SLOTS]
+        for params in product(*given):
+            values = values_of(params)
+            if precondition(*values) != skipped:
+                yield from repeat((ident, params) if skipped else check(*values),
+                                  copies * prod(map(dict.__getitem__, given, params)))
+
+
+def sweep_detailed(ids: Sequence[str], *, n: Iterable[int] = (0,),
+                   k: Iterable[int] = (0,), m: Iterable[int] = (0,),
+                   r: Iterable[int] = (0,), s: Iterable[int] = (0,)):
+    """Both walks of :func:`sweep` over the same ranges, collected into the
+    lists (reports, skipped)."""
+    ranges = {slot: tuple(span) for slot, span in zip(SLOTS, (n, k, m, r, s))}
+    return list(sweep(ids, **ranges)), list(sweep(ids, **ranges, skipped=True))

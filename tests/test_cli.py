@@ -198,7 +198,8 @@ def test_check_refuses_too_many_tuples_before_reading_a_cell(capsys, monkeypatch
         raise AssertionError("a triangle row was filled before the refusal")
 
     sweeps = []
-    monkeypatch.setattr(identities, "sweep_detailed", lambda *a, **kw: sweeps.append(a))
+    sweep = identities.sweep
+    monkeypatch.setattr(identities, "sweep", lambda *a, **kw: sweeps.append(a) or sweep(*a, **kw))
     monkeypatch.setattr(lah_core, "DEFAULT", lah_core.TriangleStore())
     monkeypatch.setattr(lah_core.LahTriangle, "_extend", no_fill)
     argv = ["check", "--id", "convolution"] + [
@@ -208,6 +209,11 @@ def test_check_refuses_too_many_tuples_before_reading_a_cell(capsys, monkeypatch
     assert captured.out == "" and captured.err.splitlines() == [
         "check: names 115856201 tuples, past the limit 1000000; narrow the ranges"]
     assert sweeps == []
+    # an admitted request does call the patched name, so the refusal above
+    # is not vacuous
+    with pytest.raises(AssertionError, match="filled"):
+        cli.main(["check", "--id", "connection", "--n", "1"])
+    assert sweeps
 
 
 def test_check_counts_run_and_skipped_tuples_against_the_limit(capsys, monkeypatch):
@@ -289,6 +295,50 @@ def test_constructions_trace(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5  # four applications plus the report line
     assert sum("->" in line for line in lines) == 4
+
+
+class _Recording(io.StringIO):
+    """A stdout that notes, with each write, how many entries ``calls`` held."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.calls, self.seen = calls, []
+
+    def write(self, text):
+        self.seen.append((text, len(self.calls)))
+        return super().write(text)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a pass-through that logs each call's
+    arguments; return the log."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_prints_each_report_before_the_next_check(monkeypatch):
+    calls = _counting(monkeypatch, identities, "check_connection")
+    out = _Recording(calls)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["check", "--id", "connection", "--n", "0..2", "--r", "0"]) == 0
+    assert out.getvalue().splitlines() == [f"CONNECTION n={n} r=0 PASS" for n in range(3)]
+    assert [seen for text, seen in out.seen if "PASS" in text] == [1, 2, 3]
+
+
+def test_constructions_print_each_report_before_the_next_tuple_is_verified(monkeypatch):
+    calls = _counting(monkeypatch, bijections, "verify_construction")
+    out = _Recording(calls)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["constructions", "--id", "iv", "--n", "1..3", "--k", "1",
+                     "--r", "0", "--s", "0"]) == 0
+    assert len(out.getvalue().splitlines()) == 3
+    assert [seen for text, seen in out.seen if "PASS" in text] == [1, 2, 3]
 
 
 def test_trace_lines_are_made_while_printing(monkeypatch):
@@ -534,6 +584,45 @@ def test_poisoned_store_fails_closed_forms(capsys, poisoned_store):
     assert code == 1 and out.endswith("FAIL\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_failure_last_in_order_still_fails_the_check(capsys, monkeypatch, fmt):
+    # cell (4, 4) of level 1 is read by VERTICAL n=4 k=4 r=1 alone, the last
+    # report; the skipped tuples print after it
+    poisoned = lah_core.TriangleStore()
+    poisoned.corrupt_cell(1, 4, 4)
+    monkeypatch.setattr(lah_core, "DEFAULT", poisoned)
+    code, out = run(capsys, "check", "--id", "vertical", "--n", "0..4", "--k", "0..4",
+                    "--r", "0..1", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        lines = out.splitlines()
+        fail = lines.index("VERTICAL n=4 k=4 r=1 FAIL")
+        assert lines[fail + 1].startswith("  lhs: ") and lines[fail + 2].startswith("  rhs: ")
+        assert all(line.endswith("PASS") for line in lines[:fail])
+        assert lines[fail + 3:] and all(line.endswith("SKIP") for line in lines[fail + 3:])
+    else:
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        statuses = [row["status"] for row in rows]
+        fail = statuses.index("FAIL")
+        assert statuses.count("FAIL") == 1 and set(statuses[:fail]) == {"PASS"}
+        assert set(statuses[fail + 1:]) == {"SKIP"}
+        assert str(rows[fail]["n"]) == str(rows[fail]["k"]) == "4"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_failure_last_in_order_still_fails_the_constructions(capsys, poisoned_store, fmt):
+    # cell (3, 1) of level 1 is read by II_EQ n=3 k=1 r=s=1 alone, the last tuple
+    code, out = run(capsys, "constructions", "--id", "ii_eq", "--n", "1..3", "--k", "1",
+                    "--r", "1", "--s", "1", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        statuses = [line.split()[-1] for line in out.splitlines()]
+    else:
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        statuses = [row["status"] for row in rows]
+    assert statuses == ["PASS", "PASS", "FAIL"]
+
+
 def test_poisoned_store_reaches_the_table(capsys, poisoned_store):
     code, out = run(capsys, "table", "--n", "3", "--r", "1")
     assert code == 0
@@ -688,12 +777,68 @@ def test_csv_quotes_as_the_csv_module_does(capsys):
     assert capsys.readouterr().out == expected.getvalue()
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
-def test_closed_stdout_stops_quietly(fmt):
-    proc = subprocess.Popen([sys.executable, "-m", "rlah", "table", "--n", "120", "--r", "2",
-                             "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+#: Commands whose stdout runs far past a pipe's buffer.
+_LONG = {
+    "table": ["table", "--n", "120", "--r", "2"],
+    "check": ["check", "--id", "all", "--n", "0..8", "--k", "0..8", "--m", "0..2",
+              "--r", "0..2", "--s", "0..2"],
+    "constructions": ["constructions", "--id", "all", "--n", "0..3", "--k", "0..3",
+                      "--r", "0..2", "--s", "0..2", "--trace"],
+}
+
+#: The closed-stdout tests run ``cli.main`` with the package's source directory
+#: first on sys.path, and with stdout block-buffered, as it is by default on a pipe.
+_BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+_MAIN = """
+import sys
+sys.path.insert(0, {src!r})
+from rlah import cli, lah_core
+for cell in {poison!r}:
+    lah_core.DEFAULT.corrupt_cell(*cell)
+sys.exit(cli.main({argv!r}))
+"""
+
+
+def _close_early(argv, poison=()):
+    """The exit code and stderr of ``argv`` whose reader closes stdout after 100 bytes."""
+    proc = subprocess.Popen([sys.executable, "-c", _MAIN.format(src=_SRC, poison=poison,
+                                                                argv=argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED)
     assert proc.stdout.read(100)
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 0
+    return proc.wait(timeout=60), stderr
+
+
+@pytest.mark.parametrize("command,fmt", [
+    pytest.param("table", "text", id="text"), pytest.param("table", "csv", id="csv"),
+    *(pytest.param(command, fmt, id=f"{command}-{fmt}")
+      for command in ("check", "constructions") for fmt in ("text", "csv"))])
+def test_closed_stdout_stops_quietly(command, fmt):
+    code, stderr = _close_early(_LONG[command] + ["--format", fmt])
+    assert code == 0
+    assert "Traceback" not in stderr
+
+
+def test_stdout_closed_before_the_final_flush_keeps_the_verdict():
+    # the whole output fits in the stream's buffer, so its one write is the
+    # flush after the last line; CONNECTION n=3 r=0, the last report, fails
+    read, write = os.pipe()
+    os.close(read)
+    argv = ["check", "--id", "connection", "--n", "0..3", "--r", "0"]
+    with os.fdopen(write, "wb") as closed:
+        proc = subprocess.run([sys.executable, "-c", _MAIN.format(src=_SRC, poison=[(0, 3, 1)],
+                                                                  argv=argv)],
+                              stdout=closed, stderr=subprocess.PIPE, env=_BUFFERED,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_closed_stdout_keeps_a_late_failure():
+    # the reader is gone long before VERTICAL n=30 k=30 r=3, the last report,
+    # reads the poisoned cell: the exit code is still the whole request's verdict
+    argv = ["check", "--id", "vertical", "--n", "0..30", "--k", "0..30", "--r", "0..3"]
+    code, stderr = _close_early(argv, poison=[(3, 30, 30)])
+    assert code == 1
     assert "Traceback" not in stderr
